@@ -35,7 +35,7 @@
 //! - **No terminal rescan** — per-state successor counts are recorded
 //!   during forward expansion, so terminal states (and deadlocks) fall out
 //!   of the BFS itself.
-//! - **A decoded-frontier ring** — both drivers keep up to
+//! - **A decoded-frontier ring** — the driver keeps up to
 //!   [`CheckOptions::frontier_ring`] of the current BFS level's states
 //!   *decoded* in boxed slots (each stolen from the firing scratch by a
 //!   `mem::swap` the moment its bytes are stored — no re-fire, no
@@ -43,31 +43,32 @@
 //!   swap a ready state in instead of re-parsing the packed encoding.
 //!   The ring is bounded, invisible in the results, and shed for the
 //!   rest of the run by the degradation ladder's first rung.
-//! - **Shard-owned parallel search** — with `threads > 1` (or
-//!   [`CheckOptions::shards`] set) the driver switches to actor-style
-//!   sharded ownership: the fingerprint space is partitioned into S
-//!   shards, each owning a private [`cxl_core::FpIndex`] + arena
-//!   segment. Expansion still uses the persistent worker pool and its
-//!   packed-bytes chunk protocol (workers live for the whole search
-//!   inside one [`std::thread::scope`]); every successor is then routed
-//!   to its owning shard ([`cxl_core::shard_of`], high fingerprint bits) and
-//!   deduped *inside* that shard — shard state moves wholesale through
-//!   the job queue, so insertion is lock-free single-owner mutation with
-//!   no shared visited set. Equal states always carry equal bytes, hence
-//!   equal fingerprints, hence the same owner: cross-shard duplicates
-//!   are impossible. A BFS-level commit barrier assigns global ids in
-//!   the sequential driver's exact (frontier order × successor order)
-//!   discovery order, so reports, traces, checkpoints, and the merged
-//!   arena are bit-identical to a sequential run. Property checking over
-//!   freshly discovered states uses the same pool.
+//! - **One driver, shard-owned stores** — every search runs the same
+//!   level-synchronous driver over a store of S shards (default: one
+//!   per worker thread, see [`CheckOptions::shards`]), each owning a
+//!   private [`cxl_core::FpIndex`] + arena segment. A successor's owner
+//!   is [`cxl_core::shard_of`] its fingerprint (high bits), so equal
+//!   states always meet in the same shard and dedup is complete without
+//!   a shared visited set. One shard with no pool is the sequential
+//!   case: the global id is the slot, and the segment is the returned
+//!   arena. With `threads > 1`, wide levels expand over a persistent
+//!   worker pool (workers live for the whole search inside one
+//!   [`std::thread::scope`]) and dedup in parallel: shard state moves
+//!   wholesale through the job queue, so insertion is lock-free
+//!   single-owner mutation with no atomics. A BFS-level commit barrier
+//!   assigns global ids in (frontier order × successor order) discovery
+//!   order, so reports, traces, checkpoints, and the returned arena are
+//!   bit-identical for every thread and shard count. Property checking
+//!   over freshly discovered states uses the same pool.
 //!
 //! A [`CheckOptions::mem_budget`] bounds the packed store: when the arena
 //! outgrows it the search truncates cleanly (like `max_states`) instead
 //! of dying on allocation — the guard rail for 4-device grid sweeps.
 //!
 //! The pre-optimisation algorithm survives as
-//! [`ModelChecker::explore_naive`], the oracle for the differential tests
-//! that pin the optimized pipeline to bit-identical exploration results.
+//! [`ModelChecker::explore_naive`] (in the `oracle` module), the oracle
+//! for the differential tests that pin the driver to bit-identical
+//! exploration results.
 
 use crate::checkpoint::{
     options_fingerprint, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSource,
@@ -80,12 +81,13 @@ use crate::report::{
 use cxl_core::{shard_of, FpIndex, RuleId, Ruleset, StateArena, StateCodec, SystemState};
 use cxl_reduce::{Reducer, ReductionStats};
 use cxl_telemetry::{
-    FlightEvent, FlightKind, FlightRing, LevelRecord, Phase, PhaseClock, PhaseNanos,
-    ReductionDelta, RunSummary, ShardLevelStats,
+    FlightKind, FlightRing, LevelRecord, Phase, PhaseClock, PhaseNanos, ReductionDelta,
+    RunSummary, ShardLevelStats,
 };
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -135,17 +137,18 @@ pub struct CheckOptions {
     /// [`ModelChecker::explore_resumed`] picks such a run back up.
     /// `None` disables checkpointing.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Number of dedup/store shards for the sharded driver. `None`
-    /// (the default) means auto: one shard per worker thread. With more
-    /// than one effective shard the search runs fingerprint-routed
-    /// shard-owned dedup even at `threads == 1` (useful for testing the
-    /// sharded layout deterministically on a single core); with
-    /// `threads <= 1` and one shard it runs the plain sequential driver.
-    /// Shard count is *not* part of a checkpoint's identity: a merged
+    /// Number of fingerprint-owned store shards the search runs over.
+    /// `None` (the default) means auto: one shard per worker thread.
+    /// One shard is the plain sequential store — one index over one
+    /// arena, the global id being the slot. More shards route each
+    /// successor to its owner's private index and segment, even at
+    /// `threads == 1` (which tests the routed layout deterministically
+    /// on a single core). Results are identical for every shard count,
+    /// and shard count is *not* part of a checkpoint's identity: a
     /// checkpoint written under any shard count resumes under any other.
     pub shards: Option<usize>,
-    /// Capacity (in states) of the decoded-frontier ring, used by both
-    /// drivers: up to this many of the current BFS level's states are
+    /// Capacity (in states) of the decoded-frontier ring: up to this
+    /// many of the current BFS level's states are
     /// kept *decoded* in boxed slots, each stolen from the firing
     /// scratch by a `mem::swap` the moment its bytes are stored (no
     /// re-fire, no clone), so next level's expansion swaps a ready
@@ -155,9 +158,8 @@ pub struct CheckOptions {
     /// the degradation ladder's first rung sheds the ring for the rest
     /// of the run. The ring is inactive under a reducer
     /// (canonicalization rewrites successor bytes, so the fired state
-    /// is not the stored representative); in the sharded driver only
-    /// fused inline levels fill it (pooled levels decode on the
-    /// workers). `0` disables it.
+    /// is not the stored representative), and only fused inline levels
+    /// use it (pooled levels decode on the workers). `0` disables it.
     pub frontier_ring: usize,
     /// Optional pruning predicate (see [`Prune`]).
     pub prune: Option<Prune>,
@@ -197,7 +199,7 @@ pub struct CheckOptions {
     /// cumulative.
     pub reduction: Option<Arc<dyn Reducer>>,
     /// Optional telemetry sink (see [`cxl_telemetry::Recorder`]). When
-    /// set, both drivers hand the recorder one [`cxl_telemetry::LevelRecord`]
+    /// set, the search hands the recorder one [`cxl_telemetry::LevelRecord`]
     /// per committed BFS level, every flight-recorder event as it is
     /// pushed, and a [`cxl_telemetry::RunSummary`] at the end. All
     /// metrics are computed at level-commit barriers from counters the
@@ -239,10 +241,10 @@ pub const DEFAULT_SPILL_BUDGET: usize = 32 * 1024 * 1024;
 /// pressure.
 pub const DEFAULT_FRONTIER_RING: usize = 2048;
 
-/// Minimum frontier width before the sharded driver ships expansion to
-/// the worker pool. A pooled phase costs a submit/wake/drain round-trip
+/// Minimum frontier width before the search ships expansion to the
+/// worker pool. A pooled phase costs a submit/wake/drain round-trip
 /// regardless of size, so levels below this run inline on the driver
-/// thread — see the phase-1 dispatch comment in `run_sharded`.
+/// thread (the fused arm of `ModelChecker::search`).
 const PAR_EXPAND_MIN: usize = 256;
 
 /// Minimum routed-message count before shard dedup jobs cross the pool.
@@ -346,7 +348,8 @@ struct ExpandedChunk {
     /// back to the spare pool) moves a pointer rather than a half-KiB
     /// state. Only the driver's inline expansion steals; worker chunks
     /// leave this empty.
-    decoded: Vec<Option<Box<SystemState>>>,
+    #[allow(clippy::vec_box)]
+    decoded: Vec<Box<SystemState>>,
 }
 
 /// Packed shipment of arena states across the pool: ids plus their
@@ -378,17 +381,23 @@ impl StateBatch {
     }
 }
 
-/// Outcome of merging one successor in the sequential driver — returned
-/// (rather than mutated through captures) so the call site can react
-/// without borrowing the closure's state.
-#[derive(PartialEq, Eq)]
-enum Merged {
-    /// Already stored (or transiently deduped): nothing new.
-    Duplicate,
-    /// Genuinely fresh: stored, parent-linked, queued for the next level.
-    Stored,
-    /// The transient-check path hit the violation cap — stop the level.
-    Stop,
+impl ExpandedChunk {
+    /// The chunk's successors in generation order, as `(parent, rule,
+    /// packed bytes, fingerprint)`.
+    fn successors(&self) -> impl Iterator<Item = (usize, RuleId, &[u8], u64)> {
+        let owners = self.parents.iter().flat_map(|(parent, outcome)| {
+            let n = match outcome {
+                Outcome::Succs(n) => *n as usize,
+                Outcome::Poisoned(_) => 0,
+            };
+            std::iter::repeat_n(*parent, n)
+        });
+        owners.zip(&self.items).scan(0usize, |start, (parent, &(rule, end, fp))| {
+            let bytes = &self.buf[*start..end];
+            *start = end;
+            Some((parent, rule, bytes, fp))
+        })
+    }
 }
 
 /// How a search begins: from scratch, or mid-run from a validated
@@ -621,7 +630,7 @@ impl ModelChecker {
     /// exactly the interrupted run's.
     fn reconstitute(&self, cp: Checkpoint) -> Exploration {
         let mut report = cp.partial_report(&self.rules);
-        // The same presentation rule `run` applies: terminal statistics
+        // The same presentation rule the search applies: terminal statistics
         // are only meaningful for complete, clean explorations.
         if report.truncated || !report.violations.is_empty() {
             report.terminal_states = 0;
@@ -631,22 +640,9 @@ impl ModelChecker {
             if let Some(stats) = cp.reduction_stats {
                 r.restore_stats(stats);
             }
-            let stats = r.stats();
             let orbit_states =
                 (0..cp.arena.len()).map(|id| r.orbit_size(cp.arena.bytes_of(id))).sum();
-            report.reduction = Some(ReductionSummary {
-                description: r.describe(),
-                group_order: stats.group_order,
-                orbit_canonicalized: stats.orbit_canonicalized,
-                value_canonicalized: stats.value_canonicalized,
-                data_symmetry: stats.data_symmetry,
-                ample_local: stats.ample_local,
-                ample_diamond: stats.ample_diamond,
-                ample_host_drain: stats.ample_host_drain,
-                por: stats.por,
-                canon: stats.canon,
-                orbit_states,
-            });
+            report.reduction = Some(reduction_summary(r, orbit_states));
         }
         // The interrupted session's black box is the reconstituted run's
         // too — there was no further exploration to add events.
@@ -654,19 +650,15 @@ impl ModelChecker {
         Exploration { report, arena: cp.arena, successor_counts: cp.succ_counts }
     }
 
-    /// Pick the driver: the plain sequential search for one thread and
-    /// one shard, the shard-owned search otherwise (spinning up the
-    /// persistent worker pool when more than one thread is requested —
-    /// a single-threaded sharded run executes every shard job inline,
-    /// which makes the sharded layout testable deterministically on a
-    /// one-core host).
+    /// Run the search over the configured shard count: inline on this
+    /// thread for `threads <= 1` (one shard and no pool is the plain
+    /// sequential search; more shards test the routed layout
+    /// deterministically on one core), otherwise with the persistent
+    /// worker pool.
     fn drive(&self, start: Start<'_>, props: &[&dyn Property]) -> Exploration {
         let shards = self.opts.shards.unwrap_or(self.opts.threads).max(1);
-        if self.opts.threads <= 1 && shards <= 1 {
-            return self.run(start, props);
-        }
         if self.opts.threads <= 1 {
-            return self.run_sharded(start, props, shards, None);
+            return self.search(start, props, shards, None);
         }
         let shared = PoolShared::new(
             &self.rules,
@@ -685,7 +677,7 @@ impl ModelChecker {
                 threads: self.opts.threads,
                 spawned: Cell::new(false),
             };
-            let out = self.run_sharded(start, props, shards, Some(&pool));
+            let out = self.search(start, props, shards, Some(&pool));
             if pool.spawned.get() {
                 shared.shutdown();
             }
@@ -701,94 +693,86 @@ impl ModelChecker {
     }
 
     // -----------------------------------------------------------------
-    // The optimized sequential search.
+    // The search.
     // -----------------------------------------------------------------
 
+    /// The exploration driver: a level-synchronous BFS over a store of
+    /// `shards` fingerprint-owned shards, with a commit barrier per level.
+    ///
+    /// Each level first walks the boundary work (depth and time
+    /// watchdogs, the degradation ladder's boundary rungs, cold-extent
+    /// spill, periodic checkpoints), then expands and merges the frontier
+    /// in one of two arms:
+    ///
+    /// - **Fused inline** (no pool, or a frontier narrower than the pool
+    ///   round-trip is worth): each parent expands into a small per-parent
+    ///   chunk that stays L1-hot and merges at once, and stored
+    ///   successors fill the decoded-frontier ring.
+    /// - **Pooled**: the frontier expands over the worker pool's chunk
+    ///   protocol; a level that provably cannot truncate and is wide
+    ///   enough dedups routed, each shard's inbox drained on a worker that
+    ///   owns the shard ([`Self::routed_dedup`]), and every other level
+    ///   merges serially on this thread.
+    ///
+    /// Both arms see successors in (frontier order × successor order), and
+    /// every serial merge goes through [`Self::merge`], so the bits that
+    /// come out are the same for every arm, thread count, and shard count.
+    /// Fresh states are then property-checked, and the level is committed
+    /// to telemetry.
     #[allow(clippy::too_many_lines)]
-    fn run(&self, start: Start<'_>, props: &[&dyn Property]) -> Exploration {
+    fn search(
+        &self,
+        start: Start<'_>,
+        props: &[&dyn Property],
+        shards: usize,
+        pool: Option<&LazyPool<'_, '_>>,
+    ) -> Exploration {
         let start_time = Instant::now();
-        let mut report = Report::default();
         let codec = StateCodec::new(self.rules.topology());
         let reducer = self.opts.reduction.as_deref();
-        // Telemetry: the flight ring runs unconditionally (a handful of
-        // pushes per level); the phase clock and level records exist only
-        // with a recorder installed — everything they report is derived
-        // at level boundaries from counters the search already keeps.
-        let recorder = self.opts.telemetry.as_deref();
-        let mut clock = PhaseClock::new(recorder.is_some());
-        let mut flight = FlightRing::new(self.opts.flight_events);
-        let mut phase_total = PhaseNanos::default();
         // Symmetry-reducing runs must explore the equivariant successor
         // relation (one successor per matching peer of the host's
         // collection rules) — orbit-representative search over the
         // lowest-peer determinisation would not cover every orbit.
         let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
+        // Telemetry: the flight ring runs unconditionally (a handful of
+        // pushes per level); the phase clock and level records exist only
+        // with a recorder installed — everything they report is derived
+        // at level boundaries from counters the search already keeps.
+        let recorder = self.opts.telemetry.as_deref();
+        let mut phase_total = PhaseNanos::default();
+        let mut s = Search {
+            store: ShardedStore::new(codec, shards),
+            parents: Vec::new(),
+            succ_counts: Vec::new(),
+            // Flat per-rule firing counters, folded into the report's
+            // map once at the end: one array increment per transition.
+            firings: vec![0u64; self.rules.rule_ids().len()],
+            frontier: vec![0],
+            new_indices: Vec::new(),
+            depth: 0,
+            report: Report::default(),
+            transient: StateArena::new(codec),
+            transient_index: FpIndex::new(),
+            shed_done: false,
+            // Inactive under a reducer: canonicalization rewrites successor
+            // bytes, so the fired state is not the stored representative.
+            ring: Ring::new(if reducer.is_none() { self.opts.frontier_ring } else { 0 }),
+            flight: Flight { ring: FlightRing::new(self.opts.flight_events), recorder },
+            clock: PhaseClock::new(recorder.is_some()),
+        };
 
-        // Canonical store: packed bytes + offset table, plus parent links
-        // for trace rebuilding and per-state successor counts (recorded
-        // at expansion time).
-        let mut arena = StateArena::new(codec);
-        let mut parents: Vec<Option<(usize, RuleId)>> = Vec::new();
-        let mut succ_counts: Vec<u32> = Vec::new();
-        let mut index = FpIndex::new();
-
-        // Side arena for over-cap states checked transiently after
-        // truncation, so a state reached twice in the truncated tail is
-        // deduped and checked once.
-        let mut transient = StateArena::new(codec);
-        let mut transient_index = FpIndex::new();
-
-        // Flat per-rule firing counters (dense-indexed; shapes × devices
-        // of the rule set's topology); folded into the report's BTreeMap
-        // once at the end, so the hot loop does one array increment per
-        // transition instead of a map operation.
-        let mut firings = vec![0u64; self.rules.rule_ids().len()];
-
-        // Reused working buffers for the sequential driver: the decoded
-        // frontier state, the rule-firing scratch successor, the
-        // per-successor encoding buffer (canonicalization may change the
-        // encoding's *length* under value renumbering, so successors are
-        // staged here before being appended to the batch buffer), the
-        // per-frontier-state batch buffer + successor metadata, and the
-        // canonicalization assembly buffer. All stop allocating once
-        // grown to the workload's high-water mark — the
-        // duplicate-successor path is then allocation-free up to the
-        // reducer's own small value-renumbering scratch. `cur` is boxed
-        // so a ring hit (below) replaces the whole decoded state with
-        // one pointer swap instead of a struct-sized one.
+        // Reused working buffers of the fused arm: the decoded parent
+        // (boxed, so a ring hit swaps a pointer, not a half-KiB struct),
+        // the rule-firing scratch, the canonicalization buffers, and the
+        // per-parent chunk. All stop allocating once grown to the
+        // workload's high-water mark.
         let mut cur = Box::new(codec.blank());
         let mut fire_scratch = codec.blank();
-        let mut succ_buf: Vec<u8> = Vec::new();
-        let mut enc_buf: Vec<u8> = Vec::new();
-        let mut succ_meta: Vec<(RuleId, usize, u64)> = Vec::new();
+        let mut enc_scratch: Vec<u8> = Vec::new();
         let mut canon_scratch: Vec<u8> = Vec::new();
+        let mut pchunk = ExpandedChunk::default();
 
-        // The decoded-frontier ring: `ring[i]` is the decoded form of
-        // `frontier[i]` for a prefix of the level, so expansion swaps a
-        // ready state into `cur` instead of decoding from the arena.
-        // `ring_next` is filled as states are stored: each successor is
-        // *captured* from the firing scratch at generation time
-        // (`clone_from` into a recycled spare slot, reusing its heap
-        // blocks — the captured state is the very state whose bytes
-        // were encoded, so the ring is invisible in the results and the
-        // fill costs no re-firing and no decode). `pending[i]` stages
-        // the captured successor of `succ_meta[i]` between expansion
-        // and merge; duplicates are recycled into `spare`, so steady
-        // state allocates nothing. Slots are boxed: every hand-off —
-        // pending → ring_next → ring → spare — moves a pointer, not a
-        // half-KiB state, which is what lets the fill machinery cost
-        // less than the decodes it saves. Inactive under a reducer:
-        // canonicalization rewrites successor bytes, so the fired state
-        // is not the stored representative.
-        let ring_cap = if self.opts.reduction.is_none() { self.opts.frontier_ring } else { 0 };
-        let mut ring_on = ring_cap > 0;
-        let mut ring: Vec<Box<SystemState>> = Vec::new();
-        let mut ring_next: Vec<Box<SystemState>> = Vec::new();
-        let mut spare: Vec<Box<SystemState>> = Vec::new();
-        let mut pending: Vec<Option<Box<SystemState>>> = Vec::new();
-
-        let mut frontier: Vec<usize>;
-        let mut depth: usize;
         // Wall-clock already spent by interrupted sessions: added to this
         // session's clock for the time budget, the report, and every
         // checkpoint, so elapsed time is cumulative across resumes.
@@ -802,654 +786,312 @@ impl ModelChecker {
                 // renumber its program operands into canonical tokens).
                 // Orbit reduction does not require the root to be a
                 // canonical form — only successors are rewritten.
-                codec.encode_into(initial, &mut enc_buf);
-                arena.push_encoded(&enc_buf);
-                let init_fp = StateCodec::fingerprint(arena.bytes_of(0));
-                parents.push(None);
-                succ_counts.push(NOT_EXPANDED);
-                index.insert(init_fp, 0, |_| unreachable!("empty index"));
-                self.check_state(0, &arena, &parents, props, &mut report);
-                frontier = vec![0];
-                depth = 0;
+                codec.encode_into(initial, &mut enc_scratch);
+                s.store.insert(StateCodec::fingerprint(&enc_scratch), &enc_scratch, None);
+                s.parents.push(None);
+                s.succ_counts.push(NOT_EXPANDED);
+                self.check_state(0, &s.store, &s.parents, props, &mut s.report);
             }
             Start::Resume(cp) => {
                 // Re-enter the loop at the checkpoint's level boundary:
                 // levels 0..depth fully expanded, frontier = level
                 // `depth`. Everything below reproduces the writing run's
-                // algorithm state exactly.
+                // algorithm state exactly, for any writing shard count.
                 let cp = *cp;
-                arena = cp.arena;
-                parents = cp.parents;
-                succ_counts = cp.succ_counts;
-                firings = cp.firings;
-                index = FpIndex::with_capacity(arena.len());
-                // Replaying insertions in discovery order reproduces the
-                // writing run's bucket layout (collisions spill in the
-                // same order).
-                for (i, &fp) in cp.fps.iter().enumerate() {
-                    let candidate = u32::try_from(i).expect("state count fits u32");
-                    index.insert(fp, candidate, |id| {
-                        arena.bytes_of(id as usize) == arena.bytes_of(i)
-                    });
-                }
-                frontier = cp.frontier;
-                depth = cp.depth;
+                s.store = ShardedStore::restore(cp.arena, &cp.fps, shards);
+                s.parents = cp.parents;
+                s.succ_counts = cp.succ_counts;
+                s.firings = cp.firings;
+                s.frontier = cp.frontier;
+                s.depth = cp.depth;
                 elapsed_offset = cp.elapsed;
+                let report = &mut s.report;
                 report.transitions = cp.transitions;
                 report.terminal_states = cp.terminal_states;
-                report.depth = depth;
+                report.depth = cp.depth;
                 report.violations = cp.violations;
                 report.deadlocks = cp.deadlocks;
                 report.quarantined = cp.quarantined;
                 report.sheds = cp.sheds;
-                report.resumed_from = Some(arena.len());
+                report.resumed_from = Some(s.store.len());
                 if let (Some(r), Some(stats)) = (reducer, cp.reduction_stats) {
                     r.restore_stats(stats);
                 }
                 // The black box survives the crash: the checkpointed ring
                 // seeds this session's, sequence numbers keep counting,
                 // and the resume itself becomes the first new event.
-                flight = FlightRing::restore(self.opts.flight_events, cp.flight);
-                flight_note(
-                    &mut flight,
-                    recorder,
-                    FlightKind::Resume,
-                    depth as u64,
-                    arena.len() as u64,
-                    "",
-                );
+                s.flight.ring = FlightRing::restore(self.opts.flight_events, cp.flight);
+                s.flight.note(FlightKind::Resume, s.depth as u64, s.store.len() as u64, "");
             }
         }
 
         // Arm the store's beyond-RAM layers *after* the start match: a
-        // resumed checkpoint reconstitutes (and index-rebuilds over) a
-        // plain arena, whose entries then simply become eligible
-        // keyframe bases. Both layers are storage-only — dedup, traces,
-        // checkpoints, and reduction all see materialized full bytes —
-        // so arming them never changes results.
-        if self.opts.delta_keyframe > 0 {
-            arena.enable_delta(self.opts.delta_keyframe);
-        }
-        if let Some(dir) = &self.opts.spill_dir {
-            // A spill dir that cannot be created degrades to a fully
-            // resident store: the memory ladder still guards the run.
-            let _ = arena.enable_spill(dir, "main");
-        }
+        // resumed checkpoint restores plain full encodings, which then
+        // simply become eligible keyframe bases. Both layers are
+        // storage-only — dedup, traces, checkpoints, and reduction all
+        // see materialized full bytes — so arming them never changes
+        // results.
+        s.store.arm(self.opts.delta_keyframe, self.opts.spill_dir.as_deref());
         let spill_watermark = self.opts.spill_budget.unwrap_or(DEFAULT_SPILL_BUDGET);
 
-        let ckpt = self.opts.checkpoint.as_ref();
-        let ckpt_fingerprint = ckpt.map(|_| {
+        let ckpt = self.opts.checkpoint.as_ref().map(|policy| {
             let describe = reducer.map(|r| r.describe());
             let mut init = Vec::new();
-            arena.append_full_bytes(0, &mut init);
-            options_fingerprint(&self.rules, describe.as_deref(), &init)
+            s.store.append_full_bytes(0, &mut init);
+            (policy, options_fingerprint(&self.rules, describe.as_deref(), &init))
         });
+        // Every checkpoint carries the cumulative elapsed time and the
+        // reducer's counters.
+        let checkpoint = |s: &mut Search<'_>, (policy, fp): (&CheckpointPolicy, u64), resumable| {
+            let elapsed = elapsed_offset + start_time.elapsed();
+            s.checkpoint(&self.rules, &policy.dir, fp, resumable, elapsed, reducer.map(|r| r.stats()));
+        };
         let mut last_checkpoint = Instant::now();
         // Does the stop point land on a BFS level boundary (making the
         // final checkpoint exactly resumable)? True for the time/depth
         // watchdogs and natural completion; false for mid-level stops.
         let mut stopped_at_boundary = false;
-        // A `Cell` so the mid-merge shed (inside the merge closure) is
-        // observable by the ring logic outside it without a borrow clash.
-        let shed_done = Cell::new(false);
         let mut emergency_done = false;
 
         // Level-boundary telemetry baselines: records carry *deltas* of
         // these cumulative counters, so a resumed session's stream picks
         // up exactly where the interrupted one's left off and the two sum
         // to an uninterrupted run's totals.
-        let mut prev_transitions = report.transitions;
-        let mut prev_sheds = report.sheds.len();
-        let mut prev_quarantined = report.quarantined.len();
-        let mut prev_violations = report.violations.len();
-        let mut prev_sealed = arena.spilled_extents();
-        let mut prev_faulted = arena.faulted_extents();
+        let transitions_at_start = s.report.transitions;
+        let mut marks = Marks::of(&s);
         let mut prev_reduction = reducer.map(|r| r.stats());
         let mut level_started = Instant::now();
+        // The pool's work gate: a pooled phase costs a submit/wake/drain
+        // round-trip (tens of µs on a loaded host), so narrower levels run
+        // inline.
+        let expand_min = (2 * self.opts.threads).max(PAR_EXPAND_MIN);
 
-        'outer: while !frontier.is_empty() {
-            if let Some(md) = self.opts.max_depth {
-                if depth >= md {
-                    report.truncated = true;
-                    stopped_at_boundary = true;
-                    break;
-                }
+        while !s.frontier.is_empty() {
+            if self.opts.max_depth.is_some_and(|md| s.depth >= md) {
+                s.report.truncated = true;
+                stopped_at_boundary = true;
+                break;
             }
             // The time-budget watchdog: checked once per level, so a
             // stop always lands on a resumable boundary with a valid
             // partial report.
-            if let Some(tb) = self.opts.time_budget {
-                if elapsed_offset + start_time.elapsed() >= tb {
-                    report.truncated = true;
-                    report.truncated_by_time = true;
-                    stopped_at_boundary = true;
-                    break;
-                }
+            if self.opts.time_budget.is_some_and(|tb| elapsed_offset + start_time.elapsed() >= tb)
+            {
+                s.report.truncated = true;
+                s.report.truncated_by_time = true;
+                stopped_at_boundary = true;
+                break;
             }
             // Graceful-degradation ladder, walked at level boundaries
-            // while every structure is still coherent. Rung 1 (≥ 80% of
-            // the budget): shed capacity slack and transient buffers.
+            // while every structure is still coherent.
             if let Some(budget) = self.opts.mem_budget {
                 // The decoded ring counts against the budget too — its
-                // memory win (skipped decodes) must only be traded back
-                // within bounds, so the first rung sheds it for the rest
-                // of the run.
-                let ring_states = ring.len() + ring_next.len() + spare.len();
-                let ring_bytes = ring_states
-                    * (std::mem::size_of::<SystemState>() + cxl_core::heap_state_bytes(&cur));
-                let before = ring_bytes
-                    + search_footprint(
-                        &arena,
-                        &index,
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier.capacity(),
-                    );
-                if !shed_done.get() && before.saturating_mul(10) >= budget.saturating_mul(8) {
-                    shed_done.set(true);
-                    ring_on = false;
-                    ring = Vec::new();
-                    ring_next = Vec::new();
-                    spare = Vec::new();
-                    // With a spill dir armed the shed rung also seals
-                    // every level below the frontier to disk — reclaimed
-                    // payload folds into this step's `reclaimed` figure.
-                    // The seal boundary is the frontier's lowest
-                    // keyframe-chain root, not its lowest id, so
-                    // expanding the frontier never faults an extent.
-                    if arena.spill_armed() {
-                        let floor = frontier
-                            .iter()
-                            .map(|&id| arena.decode_floor(id))
-                            .min()
-                            .unwrap_or_else(|| arena.len());
-                        let _ = arena.spill_cold(floor);
-                    }
-                    arena.shrink_to_fit();
-                    index.shrink_to_fit();
-                    parents.shrink_to_fit();
-                    succ_counts.shrink_to_fit();
-                    frontier.shrink_to_fit();
-                    transient.clear_and_release();
-                    transient_index = FpIndex::new();
-                    enc_buf = Vec::new();
-                    succ_buf = Vec::new();
-                    succ_meta = Vec::new();
+                // win (skipped decodes) must only be traded back within
+                // bounds, so the first rung sheds it for the rest of the
+                // run.
+                let before = s.ring.bytes(&cur) + s.footprint(s.frontier.capacity());
+                // Rung 1 (≥ 80% of the budget): shed capacity slack and
+                // transient buffers. With a spill dir armed it also
+                // seals every level below the frontier to disk.
+                if !s.shed_done && before.saturating_mul(10) >= budget.saturating_mul(8) {
+                    s.store.spill_cold_below(&s.frontier);
+                    s.frontier.shrink_to_fit();
+                    s.transient.clear_and_release();
+                    s.transient_index = FpIndex::new();
+                    pchunk = ExpandedChunk::default();
+                    enc_scratch = Vec::new();
                     canon_scratch = Vec::new();
-                    let after = search_footprint(
-                        &arena,
-                        &index,
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier.capacity(),
-                    );
-                    report.sheds.push(DegradationStep {
-                        action: DegradationAction::ShedBuffers {
-                            reclaimed: before.saturating_sub(after),
-                        },
-                        at_states: arena.len(),
-                        footprint: after,
-                    });
+                    s.shed(before, s.frontier.capacity());
                 }
                 // Rung 2 (≥ 90%): one emergency checkpoint while the
                 // search state is still serializable.
                 if !emergency_done && before.saturating_mul(10) >= budget.saturating_mul(9) {
-                    if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
+                    if let Some(c) = ckpt {
                         emergency_done = true;
-                        report.sheds.push(DegradationStep {
+                        s.report.sheds.push(DegradationStep {
                             action: DegradationAction::EmergencyCheckpoint,
-                            at_states: arena.len(),
+                            at_states: s.store.len(),
                             footprint: before,
                         });
-                        let t = clock.tick();
-                        flight_note(
-                            &mut flight,
-                            recorder,
-                            FlightKind::CheckpointWrite,
-                            depth as u64,
-                            arena.len() as u64,
-                            "",
-                        );
-                        write_checkpoint(
-                            &self.rules,
-                            &policy.dir,
-                            fp,
-                            true,
-                            depth,
-                            elapsed_offset + start_time.elapsed(),
-                            &arena,
-                            &parents,
-                            &succ_counts,
-                            &frontier,
-                            &firings,
-                            &report,
-                            reducer.map(|r| r.stats()),
-                            &flight.events(),
-                        );
-                        clock.tock(Phase::Checkpoint, t);
+                        checkpoint(&mut s, c, true);
                         last_checkpoint = Instant::now();
                     }
                 }
             }
             // Proactive cold-extent spill: once the resident payload
-            // outgrows the watermark, seal every completed level (all
-            // ids below the current frontier — fully expanded, touched
-            // again only by traces, quarantine dumps, or stale dedup
-            // probes) and drop it from RAM. The frontier itself stays
-            // resident for the coming expansion.
-            if arena.spill_armed() && arena.resident_payload_bytes() > spill_watermark {
-                let t = clock.tick();
-                let floor = frontier
-                    .iter()
-                    .map(|&id| arena.decode_floor(id))
-                    .min()
-                    .unwrap_or_else(|| arena.len());
-                let _ = arena.spill_cold(floor);
-                clock.tock(Phase::Spill, t);
+            // outgrows the watermark, seal every completed level (fully
+            // expanded, touched again only by traces, quarantine dumps,
+            // or stale dedup probes) and drop it from RAM.
+            if s.store.spill_armed() && s.store.resident_payload_bytes() > spill_watermark {
+                let t = s.clock.tick();
+                s.store.spill_cold_below(&s.frontier);
+                s.clock.tock(Phase::Spill, t);
             }
             // Periodic checkpoint: at the first boundary after each
             // `every` interval (a zero interval checkpoints every level).
-            if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
-                if last_checkpoint.elapsed() >= policy.every {
-                    let t = clock.tick();
-                    // Pushed *before* encoding, so the checkpoint file on
-                    // disk carries its own write event — a resumed run's
-                    // flight recorder then shows the very write it came
-                    // back from.
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::CheckpointWrite,
-                        depth as u64,
-                        arena.len() as u64,
-                        "",
-                    );
-                    write_checkpoint(
-                        &self.rules,
-                        &policy.dir,
-                        fp,
-                        true,
-                        depth,
-                        elapsed_offset + start_time.elapsed(),
-                        &arena,
-                        &parents,
-                        &succ_counts,
-                        &frontier,
-                        &firings,
-                        &report,
-                        reducer.map(|r| r.stats()),
-                        &flight.events(),
-                    );
-                    clock.tock(Phase::Checkpoint, t);
-                    last_checkpoint = Instant::now();
-                }
+            if let Some(c) = ckpt.filter(|(p, _)| last_checkpoint.elapsed() >= p.every) {
+                checkpoint(&mut s, c, true);
+                last_checkpoint = Instant::now();
             }
 
-            // Phases 1+2: expand the frontier and merge — dedupe by
-            // fingerprint with byte-equality fallback, link parents,
-            // count firings, record per-state successor counts, detect
-            // terminals. A frontier state that expands to zero successors
-            // is terminal; frontier order is discovery order, so deadlock
-            // traces come out in the order the naive rescan produced.
-            // Once `max_states` (or the memory budget) is reached no
-            // further states are stored, but the remainder of the batch
-            // is still deduped and property-checked transiently, so a
-            // violation inside the truncated batch is reported rather
-            // than silently dropped.
-            //
-            // The sequential driver merges straight out of the reused
-            // encoding buffer (one arena append per stored state); the
-            // parallel driver merges the pool's chunk results in
-            // deterministic frontier order.
-            let mut new_indices = Vec::new();
-            let frontier_slots = frontier.capacity();
-            // Is this level's ring prefix still growing? Cleared the
-            // first time a stored state cannot enter `ring_next` (no
-            // stolen slot, or the ring is full) — `ring_next[j]` must
-            // stay aligned with `new_indices[j]`, so once one stored
-            // state is skipped, none after it may be admitted.
-            let mut filling = ring_on;
-            let mut merge = |parent: usize,
-                             rule: RuleId,
-                             encoded: &[u8],
-                             fp: u64,
-                             arena: &mut StateArena,
-                             parents: &mut Vec<Option<(usize, RuleId)>>,
-                             succ_counts: &mut Vec<u32>,
-                             report: &mut Report|
-             -> Merged {
-                firings[self.rules.dense_index(rule)] += 1;
-                report.transitions += 1;
-                if report.truncated {
-                    // Over-cap tail: dedup against both the stored arena
-                    // (read-only probe) and the transient side arena,
-                    // then property-check genuinely new states once.
-                    let known =
-                        index.probe(fp, |id| arena.entry_matches(id as usize, encoded)).is_some();
-                    if !known {
-                        let candidate =
-                            u32::try_from(transient.len()).expect("state count fits u32");
-                        let seen = transient_index
-                            .insert(fp, candidate, |id| {
-                                transient.bytes_of(id as usize) == encoded
-                            })
-                            .is_some();
-                        if !seen {
-                            transient.push_encoded(encoded);
-                            let succ = transient.decode(transient.len() - 1);
-                            self.check_transient(
-                                parent, rule, &succ, arena, parents, props, report,
-                            );
-                            if report.violations.len() >= self.opts.max_violations
-                                && !report.violations.is_empty()
-                            {
-                                return Merged::Stop;
-                            }
+            // Expand and merge: dedupe by fingerprint with byte-equality
+            // fallback, link parents, count firings, record per-state
+            // successor counts, detect terminals. Once `max_states` (or
+            // the memory budget) is reached no further states are
+            // stored, but the rest of the level is still deduped and
+            // property-checked transiently, so a violation inside the
+            // truncated tail is reported rather than silently dropped.
+            s.new_indices = Vec::new();
+            let mut queue_depths: Vec<u32> = Vec::new();
+            match pool {
+                Some(pool) if s.frontier.len() >= expand_min => {
+                    // Workers decode from shipped bytes and steal no
+                    // decoded successors, so a pooled level neither
+                    // reads nor fills the ring.
+                    let expand_t = s.clock.tick();
+                    let expanded = pool.expand(&s.frontier, &s.store);
+                    for chunk in &expanded {
+                        for (parent, outcome) in &chunk.parents {
+                            s.settle(*parent, outcome, &mut cur, false);
                         }
                     }
-                    return Merged::Duplicate;
-                }
-                let candidate = u32::try_from(arena.len()).expect("state count fits u32");
-                if index
-                    .insert(fp, candidate, |id| arena.entry_matches(id as usize, encoded))
-                    .is_some()
-                {
-                    return Merged::Duplicate;
-                }
-                // Stored as a parent-delta when armed and profitable —
-                // the BFS parent lives in this same arena, one decode
-                // chain link away.
-                arena.push_encoded_delta(encoded, Some(parent as u32));
-                parents.push(Some((parent, rule)));
-                succ_counts.push(NOT_EXPANDED);
-                new_indices.push(candidate as usize);
-                if arena.len() >= self.opts.max_states {
-                    report.truncated = true;
-                }
-                if let Some(budget) = self.opts.mem_budget {
-                    // The hard rung: the full resident footprint —
-                    // arena, dedup index, parent links, successor
-                    // counts, and both frontier queues — against the
-                    // budget, not just the arena.
-                    let mut footprint = search_footprint(
-                        arena,
-                        &index,
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier_slots + new_indices.capacity(),
-                    );
-                    // A fast-growing level can blow through the 80%
-                    // boundary rung and the budget in one stride; shed
-                    // the capacity slack reachable from here before
-                    // giving up, so truncation is always the ladder's
-                    // *last* step.
-                    if !shed_done.get()
-                        && footprint.saturating_mul(10) >= budget.saturating_mul(8)
-                    {
-                        shed_done.set(true);
-                        arena.shrink_to_fit();
-                        index.shrink_to_fit();
-                        parents.shrink_to_fit();
-                        succ_counts.shrink_to_fit();
-                        let after = search_footprint(
-                            arena,
-                            &index,
-                            parents.capacity(),
-                            succ_counts.capacity(),
-                            frontier_slots + new_indices.capacity(),
-                        );
-                        report.sheds.push(DegradationStep {
-                            action: DegradationAction::ShedBuffers {
-                                reclaimed: footprint.saturating_sub(after),
-                            },
-                            at_states: arena.len(),
-                            footprint: after,
+                    s.clock.tock(Phase::Expand, expand_t);
+                    let merge_t = s.clock.tick();
+                    // Only a level that provably cannot truncate may
+                    // dedup routed: truncation semantics (the over-cap
+                    // tail, per-state stop points, the ladder's mid-level
+                    // rungs) are inherently sequential. The worst case
+                    // prices every message as fresh: its payload plus
+                    // per-state bookkeeping (offset slot, index slot,
+                    // parent link, successor count, directory entry,
+                    // queue slot).
+                    const PER_STATE_OVERHEAD: usize = 80;
+                    let total_msgs: usize = expanded.iter().map(|c| c.items.len()).sum();
+                    let payload_bytes: usize = expanded.iter().map(|c| c.buf.len()).sum();
+                    let fast = !s.report.truncated
+                        && s.store.len() + total_msgs <= self.opts.max_states
+                        && self.opts.mem_budget.is_none_or(|budget| {
+                            let worst = s.footprint(s.frontier.capacity())
+                                + payload_bytes
+                                + total_msgs * PER_STATE_OVERHEAD;
+                            worst.saturating_mul(10) < budget.saturating_mul(8)
                         });
-                        footprint = after;
-                    }
-                    if footprint >= budget {
-                        report.truncated = true;
-                        report.truncated_by_memory = true;
-                        report.sheds.push(DegradationStep {
-                            action: DegradationAction::Truncate,
-                            at_states: arena.len(),
-                            footprint,
-                        });
-                    }
-                }
-                Merged::Stored
-            };
-
-            // One clock span for the whole fused pass: per-parent
-            // timestamps would put two clock reads in the hot loop —
-            // measurably over the telemetry overhead budget — so the
-            // inline merges are counted under expand here, and the
-            // pooled sharded driver (whose phases are genuinely
-            // separate passes) reports the true expand/merge split.
-            let expand_t = clock.tick();
-            'seq_merge: for (fpos, &parent) in frontier.iter().enumerate() {
-                enc_buf.clear();
-                succ_meta.clear();
-                // Recycle any staged successors a truncating merge left
-                // behind, then snapshot the fill gate: `filling` and the
-                // ring length only change in the merge loop below, so
-                // copies taken here stay valid for the whole expansion.
-                for slot in pending.drain(..).flatten() {
-                    spare.push(slot);
-                }
-                let filling_now = ring_on && filling;
-                let ring_next_len = ring_next.len();
-                // Decode + prune + rule firing run supervised: a
-                // panic poisons this one state (quarantined with
-                // its packed bytes and decoded dump), the scratch
-                // buffers are re-blanked, and the search moves on.
-                let supervised = catch_unwind(AssertUnwindSafe(|| {
-                    // A ring hit swaps the pre-decoded state straight
-                    // into `cur` — a pointer swap, both sides boxed;
-                    // misses (ring shed, resume, a level that outgrew
-                    // the ring) decode from the arena.
-                    if fpos < ring.len() {
-                        std::mem::swap(&mut cur, &mut ring[fpos]);
+                    // Routing only exists to hand each shard's messages
+                    // to a worker, so a level with fewer messages than
+                    // the pool round-trip is worth merges straight from
+                    // the chunks, which are already in global order.
+                    if fast && total_msgs >= PAR_DEDUP_MIN {
+                        queue_depths =
+                            self.routed_dedup(&mut s, pool, &expanded, total_msgs, payload_bytes);
                     } else {
-                        arena.decode_into(parent, &mut cur);
-                    }
-                    let pruned =
-                        self.opts.prune.as_ref().is_some_and(|prune| prune(&cur));
-                    if pruned {
-                        return;
-                    }
-                    // Each successor is encoded into the staging
-                    // buffer, canonicalized (a no-op without a
-                    // reducer or under trivial groups), and
-                    // fingerprinted from the canonical bytes —
-                    // dedup thereafter treats a whole orbit as
-                    // one state.
-                    let mut emit = |rule: RuleId,
-                                    succ: &SystemState,
-                                    enc_buf: &mut Vec<u8>,
-                                    succ_meta: &mut Vec<(RuleId, usize, u64)>| {
-                        let at = enc_buf.len();
-                        match reducer {
-                            // Canonicalization may change the
-                            // encoding's length (value
-                            // renumbering), so reduced runs
-                            // stage each successor before
-                            // appending it to the batch buffer.
-                            Some(r) => {
-                                succ_buf.clear();
-                                codec.encode_into(succ, &mut succ_buf);
-                                r.canonicalize(&mut succ_buf, &mut canon_scratch);
-                                enc_buf.extend_from_slice(&succ_buf);
+                        'serial: for chunk in &expanded {
+                            for (parent, rule, encoded, fp) in chunk.successors() {
+                                if self.merge(&mut s, props, parent, rule, encoded, fp, None) {
+                                    break 'serial;
+                                }
                             }
-                            // Unreduced runs encode straight
-                            // into the batch buffer — no
-                            // per-successor copy.
-                            None => codec.encode_into(succ, enc_buf),
                         }
-                        let fp = StateCodec::fingerprint(&enc_buf[at..]);
-                        succ_meta.push((rule, at, fp));
-                    };
-                    match reducer
-                        .and_then(|r| r.ample_step(&self.rules, &cur, &mut fire_scratch))
-                    {
-                        Some(rule) => {
-                            emit(rule, &fire_scratch, &mut enc_buf, &mut succ_meta);
-                        }
-                        None if peer_variants => self.rules.for_each_enabled_variants(
-                            &cur,
-                            &mut fire_scratch,
-                            |rule, succ| emit(rule, succ, &mut enc_buf, &mut succ_meta),
-                        ),
-                        // The unreduced streaming path drives the `_mut`
-                        // variant so each successor can be *stolen* for
-                        // the ring right after it is encoded: one raw
-                        // struct swap with a recycled boxed slot (the
-                        // rule fire functions rebuild their output from
-                        // the parent, so the swapped-in contents are
-                        // irrelevant), no re-fire, no clone. Steals stop
-                        // (and never restart within the parent) once the
-                        // ring's budget is spoken for, so stolen
-                        // successors are a prefix of `succ_meta` —
-                        // `pending[i]` pairs with `succ_meta[i]`.
-                        None => self.rules.for_each_enabled_mut(
-                            &cur,
-                            &mut fire_scratch,
-                            |rule, succ| {
-                                emit(rule, succ, &mut enc_buf, &mut succ_meta);
-                                if filling_now && ring_next_len + pending.len() < ring_cap {
-                                    let mut slot = spare
-                                        .pop()
-                                        .unwrap_or_else(|| Box::new(codec.blank()));
-                                    std::mem::swap(&mut *slot, succ);
-                                    pending.push(Some(slot));
+                    }
+                    s.clock.tock(Phase::Merge, merge_t);
+                }
+                _ => {
+                    s.ring.filling = s.ring.on;
+                    // One clock span for the fused pass: per-parent
+                    // timestamps would put two clock reads in the hot
+                    // loop — measurably over the telemetry overhead
+                    // budget — so inline merges count under expand and
+                    // only the pooled arm reports a true expand/merge
+                    // split.
+                    let expand_t = s.clock.tick();
+                    'fused: for j in 0..s.frontier.len() {
+                        let parent = s.frontier[j];
+                        pchunk.parents.clear();
+                        pchunk.items.clear();
+                        pchunk.buf.clear();
+                        let steal_cap = s.ring.steal_cap();
+                        expand_one(
+                            &self.rules,
+                            codec,
+                            self.opts.prune.as_ref(),
+                            reducer,
+                            peer_variants,
+                            parent,
+                            |cur| {
+                                // Ring hit: the frontier is
+                                // gid-consecutive and the ring covers its
+                                // prefix position for position, so the
+                                // parent's decoded form swaps in for
+                                // free; misses (ring shed, resume, a
+                                // level that outgrew the ring) decode
+                                // from the store.
+                                if let Some(slot) = s.ring.cur.get_mut(j) {
+                                    std::mem::swap(cur, slot);
+                                } else {
+                                    s.store.decode_into(parent, cur);
                                 }
                             },
-                        ),
-                    }
-                }));
-                if let Err(payload) = supervised {
-                    // Poison state: the staging buffers may hold a
-                    // torn partial expansion and the scratch
-                    // states may be mid-mutation — drop them all
-                    // and rebuild from blanks, then quarantine.
-                    // The state keeps NOT_EXPANDED (it is neither
-                    // terminal nor expanded).
-                    enc_buf = Vec::new();
-                    succ_meta = Vec::new();
-                    succ_buf = Vec::new();
-                    canon_scratch = Vec::new();
-                    pending = Vec::new();
-                    *cur = codec.blank();
-                    fire_scratch = codec.blank();
-                    report.quarantined.push(quarantine_of(
-                        parent,
-                        &arena,
-                        panic_message(payload.as_ref()),
-                    ));
-                    let message =
-                        report.quarantined.last().map(|q| q.message.clone()).unwrap_or_default();
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Quarantine,
-                        parent as u64,
-                        0,
-                        &message,
-                    );
-                    continue;
-                }
-                succ_counts[parent] =
-                    u32::try_from(succ_meta.len()).unwrap_or(u32::MAX - 1);
-                if succ_meta.is_empty() {
-                    report.terminal_states += 1;
-                    if !cur.is_quiescent() {
-                        report.deadlocks.push(Deadlock {
-                            trace: rebuild_trace(parent, &arena, &parents),
-                        });
-                    }
-                    continue;
-                }
-                for i in 0..succ_meta.len() {
-                    let (rule, at, fp) = succ_meta[i];
-                    let end = succ_meta
-                        .get(i + 1)
-                        .map_or(enc_buf.len(), |&(_, next, _)| next);
-                    match merge(
-                        parent,
-                        rule,
-                        &enc_buf[at..end],
-                        fp,
-                        &mut arena,
-                        &mut parents,
-                        &mut succ_counts,
-                        &mut report,
-                    ) {
-                        Merged::Stop => break 'seq_merge,
-                        // Ring fill: the stolen successor staged at
-                        // generation time *is* the state just stored,
-                        // so next level's expansion can swap it in
-                        // instead of decoding. A stored state that
-                        // cannot enter the ring (not stolen, or the
-                        // ring just filled) ends the level's prefix —
-                        // later admissions would desync
-                        // `ring_next[j]` from `new_indices[j]`.
-                        Merged::Stored => {
-                            match pending.get_mut(i).and_then(Option::take) {
-                                Some(slot)
-                                    if ring_on
-                                        && filling
-                                        && ring_next.len() < ring_cap =>
-                                {
-                                    ring_next.push(slot);
-                                }
-                                Some(slot) => {
-                                    filling = false;
-                                    spare.push(slot);
-                                }
-                                None => filling = false,
-                            }
+                            &mut cur,
+                            &mut fire_scratch,
+                            &mut enc_scratch,
+                            &mut canon_scratch,
+                            steal_cap,
+                            &mut s.ring.spare,
+                            &mut pchunk,
+                        );
+                        // `cur` still holds the decoded parent (firing
+                        // never mutates the source state).
+                        if !s.settle(parent, &pchunk.parents[0].1, &mut cur, true) {
+                            continue;
                         }
-                        // Duplicate successors hand their stolen slot
-                        // back for reuse.
-                        Merged::Duplicate => {
-                            if let Some(slot) = pending.get_mut(i).and_then(Option::take)
-                            {
-                                spare.push(slot);
+                        let mut stolen = pchunk.decoded.drain(..);
+                        let mut start = 0usize;
+                        for &(rule, end, fp) in &pchunk.items {
+                            let encoded = &pchunk.buf[start..end];
+                            start = end;
+                            let slot = stolen.next();
+                            if self.merge(&mut s, props, parent, rule, encoded, fp, slot) {
+                                break 'fused;
                             }
                         }
                     }
-                }
-                // A mid-merge shed (the ladder's first rung firing
-                // inside `merge`) must take the ring with it; the
-                // closure cannot touch the ring, so the handoff happens
-                // here at parent granularity — the interim overshoot is
-                // bounded by one parent's fan-out.
-                if ring_on && shed_done.get() {
-                    ring_on = false;
-                    ring = Vec::new();
-                    ring_next = Vec::new();
-                    spare = Vec::new();
+                    s.clock.tock(Phase::Expand, expand_t);
                 }
             }
-            clock.tock(Phase::Expand, expand_t);
 
-            let mut stop_violations = report.violations.len() >= self.opts.max_violations
-                && !report.violations.is_empty();
+            let mut stop_violations = self.violation_cap(&s.report);
 
-            // Phase 3: check properties of the newly *stored* states, in
-            // discovery order.
-            if !stop_violations && !props.is_empty() && !new_indices.is_empty() {
-                let check_t = clock.tick();
-                for &id in &new_indices {
-                    self.check_state(id, &arena, &parents, props, &mut report);
-                    if report.violations.len() >= self.opts.max_violations
-                        && !report.violations.is_empty()
-                    {
-                        stop_violations = true;
-                        break;
+            // Property checking over freshly committed states — across
+            // the pool when it pays, with violations applied in
+            // deterministic discovery order either way.
+            if !stop_violations && !props.is_empty() && !s.new_indices.is_empty() {
+                let check_t = s.clock.tick();
+                match pool {
+                    Some(pool) if s.new_indices.len() >= expand_min => {
+                        let mut found = pool.check(&s.new_indices, &s.store);
+                        found.sort_by_key(|&(id, prop_idx, _)| (id, prop_idx));
+                        for (id, prop_idx, detail) in found {
+                            s.report.violations.push(Violation {
+                                property: props[prop_idx].name().to_string(),
+                                detail,
+                                trace: rebuild_trace(id, &s.store, &s.parents),
+                            });
+                            if s.report.violations.len() >= self.opts.max_violations {
+                                stop_violations = true;
+                                break;
+                            }
+                        }
+                    }
+                    _ => {
+                        for &id in &s.new_indices {
+                            self.check_state(id, &s.store, &s.parents, props, &mut s.report);
+                            if self.violation_cap(&s.report) {
+                                stop_violations = true;
+                                break;
+                            }
+                        }
                     }
                 }
-                clock.tock(Phase::Check, check_t);
+                s.clock.tock(Phase::Check, check_t);
             }
 
             // Level commit, telemetry side: flight events for whatever
@@ -1457,139 +1099,74 @@ impl ModelChecker {
             // *every* exit path that did work (including the violation
             // stop below), so a metrics stream always sums exactly to the
             // final report's totals.
-            {
-                for v in &report.violations[prev_violations..] {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Violation,
-                        arena.len() as u64,
-                        0,
-                        &v.property,
-                    );
-                }
-                let shed_delta = report.sheds.len() - prev_sheds;
-                for shed in &report.sheds[prev_sheds..] {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Degradation,
-                        degradation_rung(shed.action),
-                        shed.footprint as u64,
-                        "",
-                    );
-                }
-                let sealed = arena.spilled_extents();
-                if sealed > prev_sealed {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::SpillSeal,
-                        sealed - prev_sealed,
-                        sealed,
-                        "",
-                    );
-                }
-                let faulted = arena.faulted_extents();
-                if faulted > prev_faulted {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::SpillFault,
-                        faulted - prev_faulted,
-                        faulted,
-                        "",
-                    );
-                }
-                flight_note(
-                    &mut flight,
-                    recorder,
-                    FlightKind::LevelCommit,
-                    (depth + 1) as u64,
-                    arena.len() as u64,
-                    "",
-                );
-                if let Some(rec) = recorder {
-                    let phases = clock.drain();
-                    phase_total.accumulate(&phases);
-                    let transitions_delta = report.transitions - prev_transitions;
-                    let reduction_now = reducer.map(|r| r.stats());
-                    let record = LevelRecord {
-                        depth: depth + 1,
-                        stored: new_indices.len(),
-                        states_total: arena.len(),
-                        transitions: transitions_delta,
-                        duplicates: transitions_delta.saturating_sub(new_indices.len()),
-                        frontier: new_indices.len(),
-                        footprint: search_footprint(
-                            &arena,
-                            &index,
-                            parents.capacity(),
-                            succ_counts.capacity(),
-                            frontier.capacity() + new_indices.capacity(),
-                        ),
-                        elapsed: level_started.elapsed(),
-                        phases,
-                        sheds: shed_delta,
-                        spill_seals: sealed.saturating_sub(prev_sealed),
-                        spill_faults: faulted.saturating_sub(prev_faulted),
-                        quarantines: report.quarantined.len() - prev_quarantined,
-                        reduction: reduction_now.map(|now| {
-                            let base = prev_reduction.unwrap_or_default();
-                            ReductionDelta {
-                                orbit_canonicalized: now.orbit_canonicalized
-                                    - base.orbit_canonicalized,
-                                value_canonicalized: now.value_canonicalized
-                                    - base.value_canonicalized,
-                                ample_steps: now.ample_steps() - base.ample_steps(),
-                                canon: now.canon,
-                            }
-                        }),
-                        shards: None,
-                    };
-                    rec.record_level(&record);
-                    prev_reduction = reduction_now;
-                }
-                prev_transitions = report.transitions;
-                prev_sheds = report.sheds.len();
-                prev_quarantined = report.quarantined.len();
-                prev_violations = report.violations.len();
-                prev_sealed = sealed;
-                prev_faulted = faulted;
-                level_started = Instant::now();
+            let (sealed, faulted) = s.store.spill_counts();
+            for v in &s.report.violations[marks.violations..] {
+                s.flight.note(FlightKind::Violation, s.store.len() as u64, 0, &v.property);
             }
+            for shed in &s.report.sheds[marks.sheds..] {
+                let rung = degradation_rung(shed.action);
+                s.flight.note(FlightKind::Degradation, rung, shed.footprint as u64, "");
+            }
+            if sealed > marks.sealed {
+                s.flight.note(FlightKind::SpillSeal, sealed - marks.sealed, sealed, "");
+            }
+            if faulted > marks.faulted {
+                s.flight.note(FlightKind::SpillFault, faulted - marks.faulted, faulted, "");
+            }
+            s.flight.note(FlightKind::LevelCommit, (s.depth + 1) as u64, s.store.len() as u64, "");
+            if let Some(rec) = recorder {
+                let phases = s.clock.drain();
+                phase_total.accumulate(&phases);
+                let transitions = s.report.transitions - marks.transitions;
+                let stored = s.new_indices.len();
+                let reduction_now = reducer.map(|r| r.stats());
+                rec.record_level(&LevelRecord {
+                    depth: s.depth + 1,
+                    stored,
+                    states_total: s.store.len(),
+                    transitions,
+                    duplicates: transitions.saturating_sub(stored),
+                    frontier: stored,
+                    footprint: s.footprint(s.frontier.capacity() + s.new_indices.capacity()),
+                    elapsed: level_started.elapsed(),
+                    phases,
+                    sheds: s.report.sheds.len() - marks.sheds,
+                    spill_seals: sealed - marks.sealed,
+                    spill_faults: faulted - marks.faulted,
+                    quarantines: s.report.quarantined.len() - marks.quarantined,
+                    reduction: reduction_now.map(|now| {
+                        let base = prev_reduction.unwrap_or_default();
+                        ReductionDelta {
+                            orbit_canonicalized: now.orbit_canonicalized
+                                - base.orbit_canonicalized,
+                            value_canonicalized: now.value_canonicalized
+                                - base.value_canonicalized,
+                            ample_steps: now.ample_steps() - base.ample_steps(),
+                            canon: now.canon,
+                        }
+                    }),
+                    // Per-shard inbox depths are what each owning worker
+                    // drained this level (empty on unrouted levels).
+                    shards: (shards > 1).then(|| ShardLevelStats {
+                        queue_depths,
+                        imbalance_pct: s.store.imbalance_pct(),
+                    }),
+                });
+                prev_reduction = reduction_now;
+            }
+            marks = Marks::of(&s);
+            level_started = Instant::now();
 
             if stop_violations {
-                break 'outer;
-            }
-
-            depth += 1;
-            report.depth = depth;
-            if report.truncated {
                 break;
             }
-            // Rotate the ring: consumed slots are recycled, and the
-            // states decoded-at-store-time for the next level become the
-            // new ring (ring_next[i] corresponds to new_indices[i] by
-            // construction — both are appended exactly on `Stored`). A
-            // ring disabled mid-level still served the *current* level
-            // correctly, but its leftovers must not leak into the next
-            // frontier's positions.
-            if ring_on {
-                spare.append(&mut ring);
-                spare.truncate(ring_cap);
-                std::mem::swap(&mut ring, &mut ring_next);
-            } else if !ring.is_empty()
-                || !ring_next.is_empty()
-                || !spare.is_empty()
-                || !pending.is_empty()
-            {
-                pending = Vec::new();
-                ring = Vec::new();
-                ring_next = Vec::new();
-                spare = Vec::new();
+            s.depth += 1;
+            s.report.depth = s.depth;
+            if s.report.truncated {
+                break;
             }
-            frontier = new_indices;
+            s.ring.rotate();
+            s.frontier = std::mem::take(&mut s.new_indices);
         }
 
         // The final checkpoint — written *before* the terminal-statistics
@@ -1601,46 +1178,21 @@ impl ModelChecker {
         // Crash insurance is only worth paying for when there is
         // something to come back for: a truncated run resumes, one with
         // findings reconstitutes. A clean completed run hands its result
-        // back right here — persisting it would tax every healthy
-        // campaign with a write nobody reads (any periodic checkpoint is
-        // simply left behind; resuming it re-explores to the same clean
-        // end).
-        if frontier.is_empty() {
+        // back right here (any periodic checkpoint is simply left behind;
+        // resuming it re-explores to the same clean end).
+        if s.frontier.is_empty() {
             stopped_at_boundary = true;
         }
+        let report = &s.report;
         let worth_keeping = report.truncated
             || !report.violations.is_empty()
             || !report.deadlocks.is_empty()
             || !report.quarantined.is_empty();
-        if let (Some(policy), Some(fp)) = (ckpt.filter(|_| worth_keeping), ckpt_fingerprint) {
-            let t = clock.tick();
-            flight_note(
-                &mut flight,
-                recorder,
-                FlightKind::CheckpointWrite,
-                depth as u64,
-                arena.len() as u64,
-                "",
-            );
-            write_checkpoint(
-                &self.rules,
-                &policy.dir,
-                fp,
-                stopped_at_boundary,
-                depth,
-                elapsed_offset + start_time.elapsed(),
-                &arena,
-                &parents,
-                &succ_counts,
-                &frontier,
-                &firings,
-                &report,
-                reducer.map(|r| r.stats()),
-                &flight.events(),
-            );
-            clock.tock(Phase::Checkpoint, t);
+        if let Some(c) = ckpt.filter(|_| worth_keeping) {
+            checkpoint(&mut s, c, stopped_at_boundary);
         }
 
+        let mut report = std::mem::take(&mut s.report);
         // Terminal statistics were collected on the fly; they are only
         // meaningful (and only reported, matching the naive checker) when
         // the exploration ran to completion with no violations.
@@ -1648,1362 +1200,217 @@ impl ModelChecker {
             report.terminal_states = 0;
             report.deadlocks.clear();
         }
-
         report.rule_firings = self
             .rules
             .rule_ids()
             .iter()
-            .zip(&firings)
+            .zip(&s.firings)
             .filter(|(_, &n)| n > 0)
             .map(|(&id, &n)| (id, n))
             .collect();
-        report.states = arena.len();
-        report.memory_bytes = search_footprint(
-            &arena,
-            &index,
-            parents.capacity(),
-            succ_counts.capacity(),
-            frontier.capacity(),
-        );
+        report.states = s.store.len();
+        report.memory_bytes = s.footprint(s.frontier.capacity());
         if let Some(r) = reducer {
             // One pass over the stored representatives prices the
             // device-symmetry engine: Σ orbit sizes is the exact store
             // size of the unreduced equivariant exploration *of that
             // engine alone* (data-symmetry and POR savings only show
             // against a measured unreduced run).
-            let stats = r.stats();
             let mut full = Vec::new();
-            let orbit_states = (0..arena.len())
-                .map(|id| {
-                    full.clear();
-                    arena.append_full_bytes(id, &mut full);
-                    r.orbit_size(&full)
-                })
-                .sum();
-            report.reduction = Some(ReductionSummary {
-                description: r.describe(),
-                group_order: stats.group_order,
-                orbit_canonicalized: stats.orbit_canonicalized,
-                value_canonicalized: stats.value_canonicalized,
-                data_symmetry: stats.data_symmetry,
-                ample_local: stats.ample_local,
-                ample_diamond: stats.ample_diamond,
-                ample_host_drain: stats.ample_host_drain,
-                por: stats.por,
-                canon: stats.canon,
-                orbit_states,
-            });
-        }
-        report.shards = 1;
-        report.delta_entries = arena.delta_entries() as u64;
-        report.spilled_extents = arena.spilled_extents();
-        report.faulted_extents = arena.faulted_extents();
-        report.elapsed = elapsed_offset + start_time.elapsed();
-        phase_total.accumulate(&clock.drain());
-        if clock.enabled() {
-            report.profile = Some(phase_total);
-        }
-        report.flight = flight.events();
-        if let Some(rec) = recorder {
-            rec.finish(&run_summary(&report, phase_total));
-        }
-        Exploration { report, arena, successor_counts: succ_counts }
-    }
-
-    // -----------------------------------------------------------------
-    // The shard-owned parallel search.
-    // -----------------------------------------------------------------
-
-    /// The sharded driver: fingerprint-routed, shard-owned dedup with a
-    /// BFS-level commit barrier.
-    ///
-    /// Each level runs four phases:
-    ///
-    /// 1. **Expand** the frontier over the worker pool's chunk protocol
-    ///    (or inline for narrow frontiers / `threads <= 1`), in frontier
-    ///    order — identical successor streams to the sequential driver.
-    /// 2. **Route**: every successor gets a global sequence number in
-    ///    (frontier order × successor order) and its packed-bytes message
-    ///    goes to the inbox of its owning shard ([`shard_of`]).
-    /// 3. **Dedup**: each shard's inbox is processed by one worker that
-    ///    temporarily *owns* the shard's private `FpIndex` + arena
-    ///    segment (ownership moves through the job queue), so probe,
-    ///    insert, and append are lock-free. Equal states always route to
-    ///    the same shard, so this dedup is globally complete.
-    /// 4. **Commit**: fresh states from all shards are merged by global
-    ///    sequence number, assigning discovery-order global ids — the
-    ///    sequential driver's exact order, making reports, traces,
-    ///    checkpoints, and the merged arena bit-identical.
-    ///
-    /// Truncation semantics (the over-cap transient tail, per-state stop
-    /// points, the memory ladder's mid-level rungs) are inherently
-    /// sequential, so a level that *could* cross `max_states` or
-    /// approach the memory budget falls back to a serial merge that
-    /// mirrors the sequential driver exactly.
-    #[allow(clippy::too_many_lines)]
-    fn run_sharded(
-        &self,
-        start: Start<'_>,
-        props: &[&dyn Property],
-        shards: usize,
-        pool: Option<&LazyPool<'_, '_>>,
-    ) -> Exploration {
-        let start_time = Instant::now();
-        let mut report = Report::default();
-        let codec = StateCodec::new(self.rules.topology());
-        let reducer = self.opts.reduction.as_deref();
-        let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
-        // Telemetry: same contract as the sequential driver — the flight
-        // ring always runs, everything else only with a recorder, and
-        // every number is a level-boundary delta of existing counters.
-        let recorder = self.opts.telemetry.as_deref();
-        let mut clock = PhaseClock::new(recorder.is_some());
-        let mut flight = FlightRing::new(self.opts.flight_events);
-        let mut phase_total = PhaseNanos::default();
-
-        let mut store = ShardedStore::new(codec, shards);
-        let mut parents: Vec<Option<(usize, RuleId)>> = Vec::new();
-        let mut succ_counts: Vec<u32> = Vec::new();
-
-        // Over-cap transient dedup — only ever touched by slow-path
-        // (truncation-risk) levels.
-        let mut transient = StateArena::new(codec);
-        let mut transient_index = FpIndex::new();
-
-        let mut firings = vec![0u64; self.rules.rule_ids().len()];
-        let mut routed_messages: u64 = 0;
-
-        // Scratch for inline expansion and terminal/deadlock decoding.
-        // Boxed so a ring hit in the fused inline path swaps a pointer,
-        // not a half-KiB struct.
-        let mut cur = Box::new(codec.blank());
-        let mut fire_scratch = codec.blank();
-        let mut enc_scratch: Vec<u8> = Vec::new();
-        let mut canon_scratch: Vec<u8> = Vec::new();
-
-        // The sharded driver's decoded-frontier ring — same contract as
-        // the sequential driver's (see [`Self::run`]): `ring[j]` holds
-        // the decoded form of `frontier[j]` for a prefix of the level
-        // (new global ids are consecutive, so position alignment is
-        // identity). It is filled by the *inline* paths only — inline
-        // expansion steals each successor from the firing scratch at
-        // generation time, and the inline merge promotes the stolen
-        // state of every fresh commit into `ring_next` — because pooled
-        // levels decode on the workers and a stolen state would have to
-        // cross the queue twice to pay off. Disabled under reduction
-        // (the stored bytes are canonicalized; the raw fired successor
-        // is not the state a hit must reproduce) and shed with the
-        // buffers under memory pressure, exactly like the sequential
-        // ring.
-        let ring_cap = if reducer.is_none() { self.opts.frontier_ring } else { 0 };
-        let mut ring_on = ring_cap > 0;
-        let mut ring: Vec<Box<SystemState>> = Vec::new();
-        let mut ring_next: Vec<Box<SystemState>> = Vec::new();
-        let mut spare: Vec<Box<SystemState>> = Vec::new();
-
-        let mut frontier: Vec<usize>;
-        let mut depth: usize;
-        let mut elapsed_offset = Duration::ZERO;
-        match start {
-            Start::Fresh(initial) => {
-                // Stored uncanonicalized, exactly like the sequential
-                // driver (the root serves as its own representative).
-                let mut enc = Vec::new();
-                codec.encode_into(initial, &mut enc);
-                let fp = StateCodec::fingerprint(&enc);
-                let s = shard_of(fp, shards);
-                {
-                    let ShardState { index, segment } = store.shard_mut(s);
-                    segment.push_encoded(&enc);
-                    index.insert(fp, 0, |_| unreachable!("empty shard"));
-                }
-                store.dir.push((u32::try_from(s).expect("shard fits u32"), 0));
-                parents.push(None);
-                succ_counts.push(NOT_EXPANDED);
-                self.check_state(0, &store, &parents, props, &mut report);
-                frontier = vec![0];
-                depth = 0;
-            }
-            Start::Resume(cp) => {
-                // Scatter the checkpoint's merged arena back into
-                // per-shard segments. The routing function is a pure
-                // function of the fingerprint, and replaying inserts in
-                // global discovery order reproduces each shard's
-                // insertion order — so the reconstituted per-shard
-                // layout is exactly what a sharded run that was never
-                // interrupted would hold (for any writing shard count:
-                // the merged layout is shard-count-free).
-                let cp = *cp;
-                for gid in 0..cp.arena.len() {
-                    let fp = cp.fps[gid];
-                    let s = shard_of(fp, shards);
-                    let ShardState { index, segment } = store.shard_mut(s);
-                    let slot = u32::try_from(segment.len()).expect("state count fits u32");
-                    index.insert(fp, slot, |id| {
-                        segment.bytes_of(id as usize) == cp.arena.bytes_of(gid)
-                    });
-                    segment.push_encoded(cp.arena.bytes_of(gid));
-                    store.dir.push((u32::try_from(s).expect("shard fits u32"), slot));
-                }
-                parents = cp.parents;
-                succ_counts = cp.succ_counts;
-                firings = cp.firings;
-                frontier = cp.frontier;
-                depth = cp.depth;
-                elapsed_offset = cp.elapsed;
-                report.transitions = cp.transitions;
-                report.terminal_states = cp.terminal_states;
-                report.depth = depth;
-                report.violations = cp.violations;
-                report.deadlocks = cp.deadlocks;
-                report.quarantined = cp.quarantined;
-                report.sheds = cp.sheds;
-                report.resumed_from = Some(store.len());
-                if let (Some(r), Some(stats)) = (reducer, cp.reduction_stats) {
-                    r.restore_stats(stats);
-                }
-                // Seed the black box from the interrupted session and
-                // record the hand-off.
-                flight = FlightRing::restore(self.opts.flight_events, cp.flight);
-                flight_note(
-                    &mut flight,
-                    recorder,
-                    FlightKind::Resume,
-                    depth as u64,
-                    store.len() as u64,
-                    "",
-                );
-            }
-        }
-
-        // Arm the beyond-RAM layers per shard segment, after the start
-        // match (a resume scatters plain full encodings, which then
-        // serve as keyframe bases). Deltas are shard-local: a successor
-        // may compress against its BFS parent only when the parent
-        // landed in the same shard — the routing fingerprint decides.
-        for (i, shard) in store.shards.iter_mut().enumerate() {
-            let Some(shard) = shard else { continue };
-            if self.opts.delta_keyframe > 0 {
-                shard.segment.enable_delta(self.opts.delta_keyframe);
-            }
-            if let Some(dir) = &self.opts.spill_dir {
-                // Failure degrades to a resident shard; the ladder still
-                // guards the run.
-                let _ = shard.segment.enable_spill(dir, &format!("shard{i}"));
-            }
-        }
-        let spill_watermark = self.opts.spill_budget.unwrap_or(DEFAULT_SPILL_BUDGET);
-
-        let ckpt = self.opts.checkpoint.as_ref();
-        let ckpt_fingerprint = ckpt.map(|_| {
-            let describe = reducer.map(|r| r.describe());
-            let mut init = Vec::new();
-            store.append_full_bytes(0, &mut init);
-            options_fingerprint(&self.rules, describe.as_deref(), &init)
-        });
-        let mut last_checkpoint = Instant::now();
-        let mut stopped_at_boundary = false;
-        let mut shed_done = false;
-        let mut emergency_done = false;
-
-        // Level-boundary telemetry baselines (deltas across sessions sum
-        // to an uninterrupted run's totals — same contract as `run`).
-        let mut prev_transitions = report.transitions;
-        let mut prev_sheds = report.sheds.len();
-        let mut prev_quarantined = report.quarantined.len();
-        let mut prev_violations = report.violations.len();
-        let (mut prev_sealed, mut prev_faulted) = sharded_spill_counts(&store);
-        let mut prev_reduction = reducer.map(|r| r.stats());
-        let mut level_started = Instant::now();
-
-        'outer: while !frontier.is_empty() {
-            if let Some(md) = self.opts.max_depth {
-                if depth >= md {
-                    report.truncated = true;
-                    stopped_at_boundary = true;
-                    break;
-                }
-            }
-            if let Some(tb) = self.opts.time_budget {
-                if elapsed_offset + start_time.elapsed() >= tb {
-                    report.truncated = true;
-                    report.truncated_by_time = true;
-                    stopped_at_boundary = true;
-                    break;
-                }
-            }
-            // The degradation ladder's boundary rungs, over the sharded
-            // footprint (all segments + all shard indexes + directory).
-            if let Some(budget) = self.opts.mem_budget {
-                // The decoded ring counts against the budget too — its
-                // memory win (skipped decodes) must only be traded back
-                // within bounds, so the first rung sheds it for the rest
-                // of the run.
-                let ring_states = ring.len() + ring_next.len() + spare.len();
-                let ring_bytes = ring_states
-                    * (std::mem::size_of::<SystemState>() + cxl_core::heap_state_bytes(&cur));
-                let before = ring_bytes
-                    + sharded_footprint(
-                        &store,
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier.capacity(),
-                    );
-                if !shed_done && before.saturating_mul(10) >= budget.saturating_mul(8) {
-                    shed_done = true;
-                    ring_on = false;
-                    ring = Vec::new();
-                    ring_next = Vec::new();
-                    spare = Vec::new();
-                    // The shed rung also seals every pre-frontier shard
-                    // entry to disk when a spill dir is armed.
-                    if self.opts.spill_dir.is_some() {
-                        store.spill_cold_below(&frontier);
-                    }
-                    store.shrink_to_fit();
-                    parents.shrink_to_fit();
-                    succ_counts.shrink_to_fit();
-                    frontier.shrink_to_fit();
-                    transient.clear_and_release();
-                    transient_index = FpIndex::new();
-                    let after = sharded_footprint(
-                        &store,
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier.capacity(),
-                    );
-                    report.sheds.push(DegradationStep {
-                        action: DegradationAction::ShedBuffers {
-                            reclaimed: before.saturating_sub(after),
-                        },
-                        at_states: store.len(),
-                        footprint: after,
-                    });
-                }
-                if !emergency_done && before.saturating_mul(10) >= budget.saturating_mul(9) {
-                    if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
-                        emergency_done = true;
-                        report.sheds.push(DegradationStep {
-                            action: DegradationAction::EmergencyCheckpoint,
-                            at_states: store.len(),
-                            footprint: before,
-                        });
-                        let t = clock.tick();
-                        flight_note(
-                            &mut flight,
-                            recorder,
-                            FlightKind::CheckpointWrite,
-                            depth as u64,
-                            store.len() as u64,
-                            "",
-                        );
-                        write_checkpoint(
-                            &self.rules,
-                            &policy.dir,
-                            fp,
-                            true,
-                            depth,
-                            elapsed_offset + start_time.elapsed(),
-                            &store.merged(),
-                            &parents,
-                            &succ_counts,
-                            &frontier,
-                            &firings,
-                            &report,
-                            reducer.map(|r| r.stats()),
-                            &flight.events(),
-                        );
-                        clock.tock(Phase::Checkpoint, t);
-                        last_checkpoint = Instant::now();
-                    }
-                }
-            }
-            // Proactive cold-extent spill, per shard: seal completed
-            // levels once the combined resident payload outgrows the
-            // watermark (the frontier's own slots stay resident).
-            if self.opts.spill_dir.is_some()
-                && store.resident_payload_bytes() > spill_watermark
-            {
-                let t = clock.tick();
-                store.spill_cold_below(&frontier);
-                clock.tock(Phase::Spill, t);
-            }
-            // Periodic checkpoint: the segments merge to the same
-            // single-arena wire layout the sequential driver writes, so
-            // checkpoints are interchangeable across drivers and shard
-            // counts.
-            if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
-                if last_checkpoint.elapsed() >= policy.every {
-                    let t = clock.tick();
-                    // Pushed before encoding — the file carries its own
-                    // write event (see `run`).
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::CheckpointWrite,
-                        depth as u64,
-                        store.len() as u64,
-                        "",
-                    );
-                    write_checkpoint(
-                        &self.rules,
-                        &policy.dir,
-                        fp,
-                        true,
-                        depth,
-                        elapsed_offset + start_time.elapsed(),
-                        &store.merged(),
-                        &parents,
-                        &succ_counts,
-                        &frontier,
-                        &firings,
-                        &report,
-                        reducer.map(|r| r.stats()),
-                        &flight.events(),
-                    );
-                    clock.tock(Phase::Checkpoint, t);
-                    last_checkpoint = Instant::now();
-                }
-            }
-
-            // Phase 1: expand the frontier — over the pool's chunk
-            // protocol when it pays, inline otherwise (narrow frontiers
-            // or a single-threaded sharded run). Either way the result
-            // is in frontier order with identical successor streams.
-            // The gate is work-based, not thread-based: a pooled phase
-            // costs a submit/wake/drain round-trip (tens of µs on a
-            // loaded host), so levels with less than ~a quarter
-            // millisecond of expansion work run inline — on oversold
-            // single-core runners this is what keeps the sharded
-            // driver's protocol overhead within a few percent of the
-            // sequential driver instead of 2× behind it.
-            let expand_min = (2 * self.opts.threads).max(PAR_EXPAND_MIN);
-            let mut new_indices = Vec::new();
-            // Per-shard routed-message counts for this level's telemetry
-            // record; filled only by the routed pooled-dedup path (the
-            // other paths build no inboxes).
-            let mut level_queue_depths: Vec<u32> = Vec::new();
-            match pool {
-                // ——— Pooled level: two-phase. Expansion fans out over
-                // the chunk protocol, then dedup runs routed (parallel)
-                // or inline on this thread, by message count. ———
-                Some(pool) if frontier.len() >= expand_min => {
-                    // The ring only serves fused inline levels, and a
-                    // pooled level bypasses it entirely (workers decode
-                    // from shipped bytes) — recycle the allocations.
-                    spare.append(&mut ring);
-                    let expand_t = clock.tick();
-                    let mut expanded: Vec<ExpandedChunk> =
-                        pool.expand(&frontier, &store);
-                    // Phase 1b: successor counts, terminals, deadlocks, and
-                    // quarantines — in discovery order, exactly like the
-                    // sequential driver.
-                    for chunk in &expanded {
-                        for (parent, outcome) in &chunk.parents {
-                            match outcome {
-                                Outcome::Poisoned(message) => {
-                                    flight_note(
-                                        &mut flight,
-                                        recorder,
-                                        FlightKind::Quarantine,
-                                        *parent as u64,
-                                        0,
-                                        message,
-                                    );
-                                    report.quarantined.push(quarantine_of(
-                                        *parent,
-                                        &store,
-                                        message.clone(),
-                                    ));
-                                }
-                                Outcome::Succs(n) => {
-                                    succ_counts[*parent] = (*n).min(u32::MAX - 1);
-                                    if *n == 0 {
-                                        report.terminal_states += 1;
-                                        store.decode_into(*parent, &mut cur);
-                                        if !cur.is_quiescent() {
-                                            report.deadlocks.push(Deadlock {
-                                                trace: rebuild_trace(*parent, &store, &parents),
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-
-                    clock.tock(Phase::Expand, expand_t);
-                    let merge_t = clock.tick();
-
-                    // Size the level: can it provably not truncate? Only then is
-                    // the parallel shard-owned dedup permitted (fast path);
-                    // otherwise the level merges serially with the sequential
-                    // driver's exact truncation semantics (slow path). The SoA
-                    // chunk layout makes this O(chunks).
-                    let mut total_msgs = 0usize;
-                    let mut payload_bytes = 0usize;
-                    for chunk in &expanded {
-                        total_msgs += chunk.items.len();
-                        payload_bytes += chunk.buf.len();
-                    }
-                    // Conservative worst case: every message is fresh and costs
-                    // its payload plus per-state bookkeeping (offset slot, index
-                    // slot, parent link, successor count, directory entry,
-                    // queue slot).
-                    const PER_STATE_OVERHEAD: usize = 80;
-                    let fast = !report.truncated
-                        && store.len() + total_msgs <= self.opts.max_states
-                        && self.opts.mem_budget.is_none_or(|budget| {
-                            let now = sharded_footprint(
-                                &store,
-                                parents.capacity(),
-                                succ_counts.capacity(),
-                                frontier.capacity(),
-                            );
-                            let worst = now + payload_bytes + total_msgs * PER_STATE_OVERHEAD;
-                            worst.saturating_mul(10) < budget.saturating_mul(8)
-                        });
-
-                    // The dedup dispatch decision, made *before* routing: the
-                    // inbox protocol only exists to hand each shard's messages
-                    // to a worker, so a level whose dedup runs on this thread
-                    // anyway (fewer messages than the pool round-trip is worth
-                    // — same work-based rationale as the expansion gate) skips
-                    // routing entirely and merges straight
-                    // from the chunks, which are already in global sequence
-                    // order. One pass over each message instead of two, no inbox
-                    // buffers, no commit sort — this is most of what keeps the
-                    // sharded driver near the sequential one on a single core.
-                    let pooled_dedup = total_msgs >= PAR_DEDUP_MIN;
-                    if fast && pooled_dedup {
-                        // Phase 2: route. Global sequence numbers follow
-                        // (frontier order × successor order) — the sequential
-                        // driver's merge order. Each successor's bytes are
-                        // memcpy'd into its shard's inbox buffer: a few dozen
-                        // bytes moved per message, zero allocations per message.
-                        let mut inboxes: Vec<Inbox> = (0..shards)
-                            .map(|_| Inbox {
-                                msgs: Vec::with_capacity(total_msgs / shards + 1),
-                                buf: Vec::with_capacity(payload_bytes / shards + 64),
-                            })
-                            .collect();
-                        let mut seq: u64 = 0;
-                        for chunk in &expanded {
-                            let mut item = 0usize;
-                            let mut start = 0usize;
-                            for (parent, outcome) in &chunk.parents {
-                                let Outcome::Succs(n) = outcome else { continue };
-                                let parent =
-                                    u32::try_from(*parent).expect("state count fits u32");
-                                for &(rule, end, fp) in &chunk.items[item..item + *n as usize] {
-                                    let bytes = &chunk.buf[start..end];
-                                    start = end;
-                                    firings[self.rules.dense_index(rule)] += 1;
-                                    report.transitions += 1;
-                                    routed_messages += 1;
-                                    let dest = shard_of(fp, shards);
-                                    let (ps, pslot) = store.dir[parent as usize];
-                                    let base =
-                                        if ps as usize == dest { pslot } else { u32::MAX };
-                                    let inbox = &mut inboxes[dest];
-                                    inbox.buf.extend_from_slice(bytes);
-                                    inbox.msgs.push(RoutedMsg {
-                                        seq,
-                                        parent,
-                                        rule,
-                                        end: inbox.buf.len(),
-                                        fp,
-                                        base,
-                                    });
-                                    seq += 1;
-                                }
-                                item += *n as usize;
-                            }
-                        }
-
-                        // The commit barrier is where per-shard queue
-                        // depth is observable: each inbox's message count
-                        // is exactly what its owning worker will drain.
-                        if recorder.is_some() {
-                            level_queue_depths = inboxes
-                                .iter()
-                                .map(|inbox| {
-                                    u32::try_from(inbox.msgs.len()).unwrap_or(u32::MAX)
-                                })
-                                .collect();
-                        }
-
-                        // Phase 3: shard-owned dedup. Shard state is *moved*
-                        // into the job and back out — the owning worker holds
-                        // the only reference, so no lock guards the index or
-                        // the segment.
-                        let jobs: Vec<Job> = inboxes
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, inbox)| Job::Dedup {
-                                shard: s,
-                                state: Box::new(store.take_shard(s)),
-                                inbox,
-                            })
-                            .collect();
-                        let mut fresh: Vec<(usize, FreshSucc)> = Vec::new();
-                        for result in pool.submit_and_wait(jobs) {
-                            let JobResult::Deduped { shard, state, fresh: f } = result else {
-                                unreachable!("dedup received a foreign result")
-                            };
-                            store.put_shard(shard, *state);
-                            fresh.extend(f.into_iter().map(|x| (shard, x)));
-                        }
-
-                        // Phase 4: commit. Per-shard fresh lists are already
-                        // seq-sorted, so this sort is a merge; global ids come
-                        // out in the sequential driver's discovery order, which
-                        // makes the merged arena bit-identical.
-                        fresh.sort_unstable_by_key(|(_, f)| f.seq);
-                        for (s, f) in fresh {
-                            let gid = store.dir.len();
-                            store.dir.push((u32::try_from(s).expect("shard fits u32"), f.slot));
-                            parents.push(Some((f.parent as usize, f.rule)));
-                            succ_counts.push(NOT_EXPANDED);
-                            new_indices.push(gid);
-                        }
-                        if store.len() >= self.opts.max_states {
-                            report.truncated = true;
-                        }
-                    } else if fast {
-                        // Inline merge: dedup on the driver thread straight from
-                        // the chunks in global sequence order — per-shard insert
-                        // order and global commit order are exactly what the
-                        // routed path produces, just without materializing the
-                        // inboxes. (A shard's inbox preserves the global order
-                        // of the messages routed to it, so inserting each
-                        // message at its global turn is the same per-shard
-                        // insertion sequence; commits happen at the same turns,
-                        // already sorted.)
-                        // Is this level's ring prefix still growing? Cleared the
-                        // first time a fresh commit has no stolen decode or the
-                        // ring is full — `ring_next[j]` must stay the decoded
-                        // form of `new_indices[j]`, so only an unbroken prefix
-                        // of commits may fill it.
-                        let mut filling = ring_on;
-                        for chunk in &mut expanded {
-                            let ExpandedChunk { parents: chunk_parents, items, buf, decoded } =
-                                chunk;
-                            let mut item = 0usize;
-                            let mut start = 0usize;
-                            for (parent, outcome) in chunk_parents.iter() {
-                                let Outcome::Succs(n) = outcome else { continue };
-                                let parent = *parent;
-                                for (i, &(rule, end, fp)) in
-                                    items.iter().enumerate().skip(item).take(*n as usize)
-                                {
-                                    let encoded = &buf[start..end];
-                                    start = end;
-                                    firings[self.rules.dense_index(rule)] += 1;
-                                    report.transitions += 1;
-                                    routed_messages += 1;
-                                    let s = shard_of(fp, shards);
-                                    let (ps, pslot) = store.dir[parent];
-                                    let base =
-                                        if ps as usize == s { Some(pslot) } else { None };
-                                    let ShardState { index, segment } = store.shard_mut(s);
-                                    let slot = u32::try_from(segment.len())
-                                        .expect("state count fits u32");
-                                    let stolen = decoded.get_mut(i).and_then(Option::take);
-                                    if index
-                                        .insert(fp, slot, |id| {
-                                            segment.entry_matches(id as usize, encoded)
-                                        })
-                                        .is_none()
-                                    {
-                                        segment.push_encoded_delta(encoded, base);
-                                        let gid = store.dir.len();
-                                        store
-                                            .dir
-                                            .push((u32::try_from(s).expect("shard fits u32"), slot));
-                                        parents.push(Some((parent, rule)));
-                                        succ_counts.push(NOT_EXPANDED);
-                                        new_indices.push(gid);
-                                        match stolen {
-                                            Some(slot)
-                                                if filling && ring_next.len() < ring_cap =>
-                                            {
-                                                ring_next.push(slot);
-                                            }
-                                            other => {
-                                                filling = false;
-                                                spare.extend(other);
-                                            }
-                                        }
-                                    } else {
-                                        spare.extend(stolen);
-                                    }
-                                }
-                                item += *n as usize;
-                            }
-                        }
-                        if store.len() >= self.opts.max_states {
-                            report.truncated = true;
-                        }
-                    } else {
-                        // Slow path: serial merge in global sequence order,
-                        // mirroring the sequential driver's merge closure bit
-                        // for bit (including the transient over-cap tail and
-                        // the memory ladder's mid-level rungs).
-                        'slow: for chunk in &expanded {
-                            let mut item = 0usize;
-                            let mut start = 0usize;
-                            for (parent, outcome) in &chunk.parents {
-                                let Outcome::Succs(n) = outcome else { continue };
-                                let parent = *parent;
-                                for &(rule, end, fp) in &chunk.items[item..item + *n as usize] {
-                                let encoded = &chunk.buf[start..end];
-                                start = end;
-                                firings[self.rules.dense_index(rule)] += 1;
-                                report.transitions += 1;
-                                routed_messages += 1;
-                                let s = shard_of(fp, shards);
-                                if report.truncated {
-                                    let known = {
-                                        let ShardState { index, segment } = store.shard(s);
-                                        index
-                                            .probe(fp, |id| {
-                                                segment.entry_matches(id as usize, encoded)
-                                            })
-                                            .is_some()
-                                    };
-                                    if !known {
-                                        let candidate = u32::try_from(transient.len())
-                                            .expect("state count fits u32");
-                                        let seen = transient_index
-                                            .insert(fp, candidate, |id| {
-                                                transient.bytes_of(id as usize) == encoded
-                                            })
-                                            .is_some();
-                                        if !seen {
-                                            transient.push_encoded(encoded);
-                                            let succ = transient.decode(transient.len() - 1);
-                                            self.check_transient(
-                                                parent, rule, &succ, &store, &parents, props,
-                                                &mut report,
-                                            );
-                                            if report.violations.len() >= self.opts.max_violations
-                                                && !report.violations.is_empty()
-                                            {
-                                                break 'slow;
-                                            }
-                                        }
-                                    }
-                                    continue;
-                                }
-                                let fresh = {
-                                    let (ps, pslot) = store.dir[parent];
-                                    let base =
-                                        if ps as usize == s { Some(pslot) } else { None };
-                                    let ShardState { index, segment } = store.shard_mut(s);
-                                    let slot =
-                                        u32::try_from(segment.len()).expect("state count fits u32");
-                                    if index
-                                        .insert(fp, slot, |id| {
-                                            segment.entry_matches(id as usize, encoded)
-                                        })
-                                        .is_none()
-                                    {
-                                        segment.push_encoded_delta(encoded, base);
-                                        Some(slot)
-                                    } else {
-                                        None
-                                    }
-                                };
-                                let Some(slot) = fresh else { continue };
-                                let gid = store.dir.len();
-                                store.dir.push((u32::try_from(s).expect("shard fits u32"), slot));
-                                parents.push(Some((parent, rule)));
-                                succ_counts.push(NOT_EXPANDED);
-                                new_indices.push(gid);
-                                if store.len() >= self.opts.max_states {
-                                    report.truncated = true;
-                                }
-                                if let Some(budget) = self.opts.mem_budget {
-                                    let mut footprint = sharded_footprint(
-                                        &store,
-                                        parents.capacity(),
-                                        succ_counts.capacity(),
-                                        frontier.capacity() + new_indices.capacity(),
-                                    );
-                                    if !shed_done
-                                        && footprint.saturating_mul(10) >= budget.saturating_mul(8)
-                                    {
-                                        shed_done = true;
-                                        store.shrink_to_fit();
-                                        parents.shrink_to_fit();
-                                        succ_counts.shrink_to_fit();
-                                        let after = sharded_footprint(
-                                            &store,
-                                            parents.capacity(),
-                                            succ_counts.capacity(),
-                                            frontier.capacity() + new_indices.capacity(),
-                                        );
-                                        report.sheds.push(DegradationStep {
-                                            action: DegradationAction::ShedBuffers {
-                                                reclaimed: footprint.saturating_sub(after),
-                                            },
-                                            at_states: store.len(),
-                                            footprint: after,
-                                        });
-                                        footprint = after;
-                                    }
-                                    if footprint >= budget {
-                                        report.truncated = true;
-                                        report.truncated_by_memory = true;
-                                        report.sheds.push(DegradationStep {
-                                            action: DegradationAction::Truncate,
-                                            at_states: store.len(),
-                                            footprint,
-                                        });
-                                    }
-                                }
-                                }
-                                item += *n as usize;
-                            }
-                        }
-                    }
-                    // Recycle whatever stolen decodes the merge did not promote
-                    // (pooled-dedup and slow levels promote none).
-                    for chunk in &mut expanded {
-                        spare.extend(chunk.decoded.drain(..).flatten());
-                    }
-                    drop(expanded);
-                    clock.tock(Phase::Merge, merge_t);
-                }
-                // ——— Inline level: fused expand+merge, one pass. ———
-                // A narrow frontier (or a single-threaded run) gains
-                // nothing from the chunk protocol, and the two-phase
-                // shape is not free: the level's successor bytes are
-                // written to a chunk and re-streamed through the cache
-                // before they reach the dedup index. Fusing instead
-                // expands each parent into a small per-parent chunk
-                // that stays L1-hot and merges it immediately. The
-                // message stream keeps the exact global order (frontier
-                // order × successor order) and every per-message rule —
-                // dedup turn, per-insert truncation, the transient
-                // over-cap tail, the memory ladder's mid-level rungs —
-                // of the two-phase path, so the bits that come out are
-                // identical; this is the sequential driver's fused loop
-                // wearing the sharded store.
-                _ => {
-                    let mut filling = ring_on;
-                    let mut pchunk = ExpandedChunk::default();
-                    // One clock span for the fused pass (see the
-                    // sequential driver): per-parent timestamps would
-                    // blow the telemetry overhead budget, so inline
-                    // merges count under expand here and only the
-                    // pooled arm reports a true expand/merge split.
-                    let expand_t = clock.tick();
-                    'fused: for (j, &parent) in frontier.iter().enumerate() {
-                        pchunk.parents.clear();
-                        pchunk.items.clear();
-                        pchunk.buf.clear();
-                        pchunk.decoded.clear();
-                        // Steal decoded successors only while the next
-                        // level's ring is still filling (never under
-                        // reduction — expand_one forces the cap to 0).
-                        let steal_cap = if filling {
-                            ring_cap.saturating_sub(ring_next.len())
-                        } else {
-                            0
-                        };
-                        let outcome = expand_one(
-                            &self.rules,
-                            codec,
-                            self.opts.prune.as_ref(),
-                            reducer,
-                            peer_variants,
-                            parent,
-                            |cur| {
-                                // Ring hit: the frontier is
-                                // gid-consecutive and the ring covers
-                                // its prefix position-for-position, so
-                                // the parent's decoded form swaps in
-                                // for free; misses (ring shed, resume,
-                                // a level that outgrew the ring) decode
-                                // from the arena.
-                                if let Some(slot) = ring.get_mut(j) {
-                                    std::mem::swap(cur, slot);
-                                } else {
-                                    store.decode_into(parent, cur);
-                                }
-                            },
-                            &mut cur,
-                            &mut fire_scratch,
-                            &mut enc_scratch,
-                            &mut canon_scratch,
-                            steal_cap,
-                            &mut spare,
-                            &mut pchunk,
-                        );
-                        if outcome.is_err() {
-                            *cur = codec.blank();
-                            fire_scratch = codec.blank();
-                            canon_scratch = Vec::new();
-                        }
-                        match &pchunk.parents[0].1 {
-                            Outcome::Poisoned(message) => {
-                                flight_note(
-                                    &mut flight,
-                                    recorder,
-                                    FlightKind::Quarantine,
-                                    parent as u64,
-                                    0,
-                                    message,
-                                );
-                                report.quarantined.push(quarantine_of(
-                                    parent,
-                                    &store,
-                                    message.clone(),
-                                ));
-                                continue;
-                            }
-                            Outcome::Succs(n) => {
-                                succ_counts[parent] = (*n).min(u32::MAX - 1);
-                                if *n == 0 {
-                                    report.terminal_states += 1;
-                                    // `cur` still holds the decoded
-                                    // parent (firing never mutates the
-                                    // source state).
-                                    if !cur.is_quiescent() {
-                                        report.deadlocks.push(Deadlock {
-                                            trace: rebuild_trace(
-                                                parent, &store, &parents,
-                                            ),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        // Merge this parent's successors at their
-                        // global turns — the sequential driver's merge
-                        // closure bit for bit.
-                        let mut start = 0usize;
-                        for (i, &(rule, end, fp)) in pchunk.items.iter().enumerate() {
-                            let encoded = &pchunk.buf[start..end];
-                            start = end;
-                            firings[self.rules.dense_index(rule)] += 1;
-                            report.transitions += 1;
-                            routed_messages += 1;
-                            let s = shard_of(fp, shards);
-                            let stolen =
-                                pchunk.decoded.get_mut(i).and_then(Option::take);
-                            if report.truncated {
-                                spare.extend(stolen);
-                                let known = {
-                                    let ShardState { index, segment } = store.shard(s);
-                                    index
-                                        .probe(fp, |id| {
-                                            segment.entry_matches(id as usize, encoded)
-                                        })
-                                        .is_some()
-                                };
-                                if !known {
-                                    let candidate = u32::try_from(transient.len())
-                                        .expect("state count fits u32");
-                                    let seen = transient_index
-                                        .insert(fp, candidate, |id| {
-                                            transient.bytes_of(id as usize) == encoded
-                                        })
-                                        .is_some();
-                                    if !seen {
-                                        transient.push_encoded(encoded);
-                                        let succ = transient.decode(transient.len() - 1);
-                                        self.check_transient(
-                                            parent, rule, &succ, &store, &parents,
-                                            props, &mut report,
-                                        );
-                                        if report.violations.len()
-                                            >= self.opts.max_violations
-                                            && !report.violations.is_empty()
-                                        {
-                                            break 'fused;
-                                        }
-                                    }
-                                }
-                                continue;
-                            }
-                            let fresh = {
-                                let (ps, pslot) = store.dir[parent];
-                                let base =
-                                    if ps as usize == s { Some(pslot) } else { None };
-                                let ShardState { index, segment } = store.shard_mut(s);
-                                let slot = u32::try_from(segment.len())
-                                    .expect("state count fits u32");
-                                if index
-                                    .insert(fp, slot, |id| {
-                                        segment.entry_matches(id as usize, encoded)
-                                    })
-                                    .is_none()
-                                {
-                                    segment.push_encoded_delta(encoded, base);
-                                    Some(slot)
-                                } else {
-                                    None
-                                }
-                            };
-                            let Some(slot) = fresh else {
-                                spare.extend(stolen);
-                                continue;
-                            };
-                            let gid = store.dir.len();
-                            store
-                                .dir
-                                .push((u32::try_from(s).expect("shard fits u32"), slot));
-                            parents.push(Some((parent, rule)));
-                            succ_counts.push(NOT_EXPANDED);
-                            new_indices.push(gid);
-                            // Promote the stolen decode into the next
-                            // level's ring while the prefix holds:
-                            // `ring_next[j]` must stay the decoded form
-                            // of `new_indices[j]`, so the first fresh
-                            // commit without a slot (or past the cap)
-                            // ends the fill.
-                            match stolen {
-                                Some(slot) if filling && ring_next.len() < ring_cap => {
-                                    ring_next.push(slot);
-                                }
-                                other => {
-                                    filling = false;
-                                    spare.extend(other);
-                                }
-                            }
-                            if store.len() >= self.opts.max_states {
-                                report.truncated = true;
-                            }
-                            if let Some(budget) = self.opts.mem_budget {
-                                let mut footprint = sharded_footprint(
-                                    &store,
-                                    parents.capacity(),
-                                    succ_counts.capacity(),
-                                    frontier.capacity() + new_indices.capacity(),
-                                );
-                                if !shed_done
-                                    && footprint.saturating_mul(10)
-                                        >= budget.saturating_mul(8)
-                                {
-                                    shed_done = true;
-                                    store.shrink_to_fit();
-                                    parents.shrink_to_fit();
-                                    succ_counts.shrink_to_fit();
-                                    let after = sharded_footprint(
-                                        &store,
-                                        parents.capacity(),
-                                        succ_counts.capacity(),
-                                        frontier.capacity() + new_indices.capacity(),
-                                    );
-                                    report.sheds.push(DegradationStep {
-                                        action: DegradationAction::ShedBuffers {
-                                            reclaimed: footprint.saturating_sub(after),
-                                        },
-                                        at_states: store.len(),
-                                        footprint: after,
-                                    });
-                                    footprint = after;
-                                }
-                                if footprint >= budget {
-                                    report.truncated = true;
-                                    report.truncated_by_memory = true;
-                                    report.sheds.push(DegradationStep {
-                                        action: DegradationAction::Truncate,
-                                        at_states: store.len(),
-                                        footprint,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    clock.tock(Phase::Expand, expand_t);
-                    // An early break leaves untaken decodes behind; and
-                    // this level's ring is spent either way (a served
-                    // slot holds whatever the hit's swap left behind).
-                    spare.extend(pchunk.decoded.drain(..).flatten());
-                    spare.append(&mut ring);
-                }
-            }
-
-            let mut stop_violations = report.violations.len() >= self.opts.max_violations
-                && !report.violations.is_empty();
-
-            // Phase 5: property checking over freshly committed states —
-            // across the pool when it pays, with violations applied in
-            // deterministic discovery order either way.
-            if !stop_violations && !props.is_empty() && !new_indices.is_empty() {
-                let check_t = clock.tick();
-                match pool {
-                    Some(pool) if new_indices.len() >= expand_min => {
-                        let mut found = pool.check(&new_indices, &store);
-                        found.sort_by_key(|&(id, prop_idx, _)| (id, prop_idx));
-                        for (id, prop_idx, detail) in found {
-                            report.violations.push(Violation {
-                                property: props[prop_idx].name().to_string(),
-                                detail,
-                                trace: rebuild_trace(id, &store, &parents),
-                            });
-                            if report.violations.len() >= self.opts.max_violations {
-                                stop_violations = true;
-                                break;
-                            }
-                        }
-                    }
-                    _ => {
-                        for &id in &new_indices {
-                            self.check_state(id, &store, &parents, props, &mut report);
-                            if report.violations.len() >= self.opts.max_violations
-                                && !report.violations.is_empty()
-                            {
-                                stop_violations = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                clock.tock(Phase::Check, check_t);
-            }
-
-            // Level commit, telemetry side: flight events plus one record
-            // of level deltas — before the violation stop below, so every
-            // exit path that stored work is covered and a metrics stream
-            // always sums exactly to the final report.
-            {
-                for v in &report.violations[prev_violations..] {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Violation,
-                        store.len() as u64,
-                        0,
-                        &v.property,
-                    );
-                }
-                let shed_delta = report.sheds.len() - prev_sheds;
-                for shed in &report.sheds[prev_sheds..] {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Degradation,
-                        degradation_rung(shed.action),
-                        shed.footprint as u64,
-                        "",
-                    );
-                }
-                let (sealed, faulted) = sharded_spill_counts(&store);
-                if sealed > prev_sealed {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::SpillSeal,
-                        sealed - prev_sealed,
-                        sealed,
-                        "",
-                    );
-                }
-                if faulted > prev_faulted {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::SpillFault,
-                        faulted - prev_faulted,
-                        faulted,
-                        "",
-                    );
-                }
-                flight_note(
-                    &mut flight,
-                    recorder,
-                    FlightKind::LevelCommit,
-                    (depth + 1) as u64,
-                    store.len() as u64,
-                    "",
-                );
-                if let Some(rec) = recorder {
-                    let phases = clock.drain();
-                    phase_total.accumulate(&phases);
-                    let transitions_delta = report.transitions - prev_transitions;
-                    let reduction_now = reducer.map(|r| r.stats());
-                    let record = LevelRecord {
-                        depth: depth + 1,
-                        stored: new_indices.len(),
-                        states_total: store.len(),
-                        transitions: transitions_delta,
-                        duplicates: transitions_delta.saturating_sub(new_indices.len()),
-                        frontier: new_indices.len(),
-                        footprint: sharded_footprint(
-                            &store,
-                            parents.capacity(),
-                            succ_counts.capacity(),
-                            frontier.capacity() + new_indices.capacity(),
-                        ),
-                        elapsed: level_started.elapsed(),
-                        phases,
-                        sheds: shed_delta,
-                        spill_seals: sealed.saturating_sub(prev_sealed),
-                        spill_faults: faulted.saturating_sub(prev_faulted),
-                        quarantines: report.quarantined.len() - prev_quarantined,
-                        reduction: reduction_now.map(|now| {
-                            let base = prev_reduction.unwrap_or_default();
-                            ReductionDelta {
-                                orbit_canonicalized: now.orbit_canonicalized
-                                    - base.orbit_canonicalized,
-                                value_canonicalized: now.value_canonicalized
-                                    - base.value_canonicalized,
-                                ample_steps: now.ample_steps() - base.ample_steps(),
-                                canon: now.canon,
-                            }
-                        }),
-                        shards: Some(ShardLevelStats {
-                            queue_depths: std::mem::take(&mut level_queue_depths),
-                            imbalance_pct: store.imbalance_pct(),
-                        }),
-                    };
-                    rec.record_level(&record);
-                    prev_reduction = reduction_now;
-                }
-                prev_transitions = report.transitions;
-                prev_sheds = report.sheds.len();
-                prev_quarantined = report.quarantined.len();
-                prev_violations = report.violations.len();
-                prev_sealed = sealed;
-                prev_faulted = faulted;
-                level_started = Instant::now();
-            }
-
-            if stop_violations {
-                break 'outer;
-            }
-
-            // A mid-merge shed (the ladder's first rung firing inside
-            // the slow path) takes the ring with it; otherwise rotate —
-            // the stolen states for the next level become the new ring
-            // (`ring_next[j]` is the decoded form of `new_indices[j]`).
-            if shed_done {
-                ring_on = false;
-            }
-            if ring_on {
-                spare.truncate(ring_cap);
-                std::mem::swap(&mut ring, &mut ring_next);
-            } else if !ring.is_empty() || !ring_next.is_empty() || !spare.is_empty() {
-                ring = Vec::new();
-                ring_next = Vec::new();
-                spare = Vec::new();
-            }
-
-            depth += 1;
-            report.depth = depth;
-            if report.truncated {
-                break;
-            }
-            frontier = new_indices;
-        }
-
-        if frontier.is_empty() {
-            stopped_at_boundary = true;
-        }
-        let worth_keeping = report.truncated
-            || !report.violations.is_empty()
-            || !report.deadlocks.is_empty()
-            || !report.quarantined.is_empty();
-        if let (Some(policy), Some(fp)) = (ckpt.filter(|_| worth_keeping), ckpt_fingerprint) {
-            let ckpt_t = clock.tick();
-            flight_note(
-                &mut flight,
-                recorder,
-                FlightKind::CheckpointWrite,
-                depth as u64,
-                store.len() as u64,
-                "",
-            );
-            write_checkpoint(
-                &self.rules,
-                &policy.dir,
-                fp,
-                stopped_at_boundary,
-                depth,
-                elapsed_offset + start_time.elapsed(),
-                &store.merged(),
-                &parents,
-                &succ_counts,
-                &frontier,
-                &firings,
-                &report,
-                reducer.map(|r| r.stats()),
-                &flight.events(),
-            );
-            clock.tock(Phase::Checkpoint, ckpt_t);
-        }
-
-        if report.truncated || !report.violations.is_empty() {
-            report.terminal_states = 0;
-            report.deadlocks.clear();
-        }
-
-        report.rule_firings = self
-            .rules
-            .rule_ids()
-            .iter()
-            .zip(&firings)
-            .filter(|(_, &n)| n > 0)
-            .map(|(&id, &n)| (id, n))
-            .collect();
-        report.states = store.len();
-        report.memory_bytes = sharded_footprint(
-            &store,
-            parents.capacity(),
-            succ_counts.capacity(),
-            frontier.capacity(),
-        );
-        if let Some(r) = reducer {
-            let stats = r.stats();
-            let mut full = Vec::new();
-            let orbit_states = (0..store.len())
+            let orbit_states = (0..s.store.len())
                 .map(|gid| {
                     full.clear();
-                    store.append_full_bytes(gid, &mut full);
+                    s.store.append_full_bytes(gid, &mut full);
                     r.orbit_size(&full)
                 })
                 .sum();
-            report.reduction = Some(ReductionSummary {
-                description: r.describe(),
-                group_order: stats.group_order,
-                orbit_canonicalized: stats.orbit_canonicalized,
-                value_canonicalized: stats.value_canonicalized,
-                data_symmetry: stats.data_symmetry,
-                ample_local: stats.ample_local,
-                ample_diamond: stats.ample_diamond,
-                ample_host_drain: stats.ample_host_drain,
-                por: stats.por,
-                canon: stats.canon,
-                orbit_states,
-            });
+            report.reduction = Some(reduction_summary(r, orbit_states));
         }
         report.shards = shards;
-        report.routed_messages = routed_messages;
-        report.shard_imbalance_pct = store.imbalance_pct();
-        // Count store compression/spill activity before `merged()` below
-        // materializes every state (which faults all extents back in) —
-        // these are run-time figures, not merge-time ones.
-        for shard in store.shards.iter().flatten() {
-            report.delta_entries += shard.segment.delta_entries() as u64;
-            report.spilled_extents += shard.segment.spilled_extents();
-            report.faulted_extents += shard.segment.faulted_extents();
-        }
+        // One routed message per transition examined this session.
+        report.routed_messages = if shards > 1 {
+            (report.transitions - transitions_at_start) as u64
+        } else {
+            0
+        };
+        report.shard_imbalance_pct = s.store.imbalance_pct();
+        (report.spilled_extents, report.faulted_extents) = s.store.spill_counts();
+        report.delta_entries = s.store.delta_entries();
         report.elapsed = elapsed_offset + start_time.elapsed();
-        phase_total.accumulate(&clock.drain());
-        if clock.enabled() {
+        phase_total.accumulate(&s.clock.drain());
+        if s.clock.enabled() {
             report.profile = Some(phase_total);
         }
-        report.flight = flight.events();
+        report.flight = s.flight.ring.events();
         if let Some(rec) = recorder {
             rec.finish(&run_summary(&report, phase_total));
         }
-        let arena = store.merged();
-        Exploration { report, arena, successor_counts: succ_counts }
+        Exploration { report, arena: s.store.into_arena(), successor_counts: s.succ_counts }
+    }
+
+    /// Merge one successor at its global turn — the single per-successor
+    /// step of every serial merge, fused or pooled: count the transition,
+    /// dedup in the owning shard, store and link a fresh state, fill the
+    /// decoded-frontier ring with `stolen` (the successor's decoded form,
+    /// when expansion kept one), and walk the memory ladder's mid-level
+    /// rungs. Past truncation the successor instead joins the over-cap
+    /// tail. Returns `true` when the violation cap stops the level.
+    #[allow(clippy::too_many_arguments)]
+    fn merge(
+        &self,
+        s: &mut Search<'_>,
+        props: &[&dyn Property],
+        parent: usize,
+        rule: RuleId,
+        encoded: &[u8],
+        fp: u64,
+        stolen: Option<Box<SystemState>>,
+    ) -> bool {
+        s.firings[self.rules.dense_index(rule)] += 1;
+        s.report.transitions += 1;
+        if s.report.truncated {
+            // Over-cap tail: dedup against the store (read-only probe)
+            // and the transient side arena, so a state reached twice in
+            // the tail is property-checked once.
+            s.ring.recycle(stolen);
+            if s.store.contains(fp, encoded) {
+                return false;
+            }
+            let candidate = u32::try_from(s.transient.len()).expect("state count fits u32");
+            if s.transient_index
+                .insert(fp, candidate, |id| s.transient.bytes_of(id as usize) == encoded)
+                .is_some()
+            {
+                return false;
+            }
+            s.transient.push_encoded(encoded);
+            let succ = s.transient.decode(s.transient.len() - 1);
+            self.check_transient(parent, rule, &succ, &s.store, &s.parents, props, &mut s.report);
+            return self.violation_cap(&s.report);
+        }
+        let Some(gid) = s.store.insert(fp, encoded, Some(parent)) else {
+            s.ring.recycle(stolen);
+            return false;
+        };
+        s.parents.push(Some((parent, rule)));
+        s.succ_counts.push(NOT_EXPANDED);
+        s.new_indices.push(gid);
+        s.ring.admit(stolen);
+        if s.store.len() >= self.opts.max_states {
+            s.report.truncated = true;
+        }
+        if let Some(budget) = self.opts.mem_budget {
+            // The hard rung: the full resident footprint — store, dedup
+            // indexes, parent links, successor counts, and both frontier
+            // queues — against the budget, not just the arena.
+            let queue_slots = s.frontier.capacity() + s.new_indices.capacity();
+            let mut footprint = s.footprint(queue_slots);
+            // A fast-growing level can blow through the 80% boundary rung
+            // and the budget in one stride; shed the capacity slack
+            // reachable from here before giving up, so truncation is
+            // always the ladder's *last* step.
+            if !s.shed_done && footprint.saturating_mul(10) >= budget.saturating_mul(8) {
+                footprint = s.shed(footprint, queue_slots);
+            }
+            if footprint >= budget {
+                s.report.truncated = true;
+                s.report.truncated_by_memory = true;
+                s.report.sheds.push(DegradationStep {
+                    action: DegradationAction::Truncate,
+                    at_states: s.store.len(),
+                    footprint,
+                });
+            }
+        }
+        false
+    }
+
+    /// A pooled level's parallel dedup, for levels that provably cannot
+    /// truncate. Routes every successor, in global sequence order
+    /// (frontier order × successor order), to its owning shard's inbox;
+    /// drains each inbox on a worker that owns the shard for the job;
+    /// then commits the fresh states in sequence order, which assigns the
+    /// global ids a serial merge would. Returns the per-shard inbox
+    /// depths.
+    fn routed_dedup(
+        &self,
+        s: &mut Search<'_>,
+        pool: &LazyPool<'_, '_>,
+        expanded: &[ExpandedChunk],
+        total_msgs: usize,
+        payload_bytes: usize,
+    ) -> Vec<u32> {
+        let shards = s.store.shards.len();
+        // Each successor's bytes are memcpy'd into its shard's inbox
+        // buffer: a few dozen bytes moved per message, zero allocations
+        // per message.
+        let mut inboxes: Vec<Inbox> = (0..shards)
+            .map(|_| Inbox {
+                msgs: Vec::with_capacity(total_msgs / shards + 1),
+                buf: Vec::with_capacity(payload_bytes / shards + 64),
+            })
+            .collect();
+        let all = expanded.iter().flat_map(ExpandedChunk::successors);
+        for (seq, (parent, rule, bytes, fp)) in (0u64..).zip(all) {
+            s.firings[self.rules.dense_index(rule)] += 1;
+            s.report.transitions += 1;
+            let dest = shard_of(fp, shards);
+            let (ps, pslot) = s.store.locate(parent);
+            let inbox = &mut inboxes[dest];
+            inbox.buf.extend_from_slice(bytes);
+            inbox.msgs.push(RoutedMsg {
+                seq,
+                parent: u32::try_from(parent).expect("state count fits u32"),
+                rule,
+                end: inbox.buf.len(),
+                fp,
+                base: if ps == dest { pslot as u32 } else { u32::MAX },
+            });
+        }
+        let depths = inboxes
+            .iter()
+            .map(|inbox| u32::try_from(inbox.msgs.len()).unwrap_or(u32::MAX))
+            .collect();
+
+        // Shard state is *moved* into the job and back out — the owning
+        // worker holds the only reference, so no lock guards the index
+        // or the segment.
+        let jobs: Vec<Job> = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(shard, inbox)| Job::Dedup {
+                shard,
+                state: Box::new(s.store.take_shard(shard)),
+                inbox,
+            })
+            .collect();
+        let mut fresh: Vec<(usize, FreshSucc)> = Vec::new();
+        for result in pool.submit_and_wait(jobs) {
+            let JobResult::Deduped { shard, state, fresh: f } = result else {
+                unreachable!("dedup received a foreign result")
+            };
+            s.store.put_shard(shard, *state);
+            fresh.extend(f.into_iter().map(|x| (shard, x)));
+        }
+
+        // Commit. Per-shard fresh lists are already seq-sorted, so this
+        // sort is a merge.
+        fresh.sort_unstable_by_key(|(_, f)| f.seq);
+        for (shard, f) in fresh {
+            let gid = s.store.commit(shard, f.slot);
+            s.parents.push(Some((f.parent as usize, f.rule)));
+            s.succ_counts.push(NOT_EXPANDED);
+            s.new_indices.push(gid);
+        }
+        if s.store.len() >= self.opts.max_states {
+            s.report.truncated = true;
+        }
+        depths
+    }
+
+    /// Has the search collected as many violations as it may?
+    fn violation_cap(&self, report: &Report) -> bool {
+        report.violations.len() >= self.opts.max_violations && !report.violations.is_empty()
     }
 
     /// Property-check a successor that was *not* stored because the state
@@ -3061,158 +1468,6 @@ impl ModelChecker {
                 }
             }
         }
-    }
-
-    // -----------------------------------------------------------------
-    // The naive reference implementation.
-    // -----------------------------------------------------------------
-
-    /// The pre-optimisation exploration algorithm, retained verbatim as
-    /// the oracle for differential testing and as the baseline of the
-    /// `mc_throughput` bench: a `HashMap<Arc<SystemState>, usize>` visited
-    /// set (full SipHash per probe), freshly allocated successor vectors,
-    /// allocation-heavy per-level merging, and a terminal-state rescan
-    /// that re-runs successor generation over every reached state after
-    /// the search. Its heap visited set is packed into a [`StateArena`]
-    /// only at the end, so the two pipelines return the same result type
-    /// (and differential tests can compare arenas byte for byte).
-    #[must_use]
-    pub fn explore_naive(&self, initial: &SystemState, props: &[&dyn Property]) -> Exploration {
-        let start = Instant::now();
-        let mut report = Report::default();
-
-        let mut states: Vec<Arc<SystemState>> = Vec::new();
-        let mut parents: Vec<Option<(usize, RuleId)>> = Vec::new();
-        let mut index: HashMap<Arc<SystemState>, usize> = HashMap::new();
-
-        let init = Arc::new(initial.clone());
-        states.push(Arc::clone(&init));
-        parents.push(None);
-        index.insert(init, 0);
-
-        self.check_state_naive(0, &states, &parents, props, &mut report);
-
-        let mut frontier: Vec<usize> = vec![0];
-        let mut depth = 0usize;
-
-        'outer: while !frontier.is_empty() {
-            if let Some(md) = self.opts.max_depth {
-                if depth >= md {
-                    report.truncated = true;
-                    break;
-                }
-            }
-
-            let mut expanded = Vec::new();
-            for &id in &frontier {
-                let st = &states[id];
-                if let Some(prune) = &self.opts.prune {
-                    if prune(st) {
-                        continue;
-                    }
-                }
-                for (rule, succ) in self.rules.successors_naive(st) {
-                    expanded.push((id, rule, succ));
-                }
-            }
-
-            let mut new_indices = Vec::new();
-            for (parent, rule, succ) in expanded {
-                *report.rule_firings.entry(rule).or_insert(0) += 1;
-                report.transitions += 1;
-                let succ = Arc::new(succ);
-                if index.contains_key(&succ) {
-                    continue;
-                }
-                let id = states.len();
-                states.push(Arc::clone(&succ));
-                parents.push(Some((parent, rule)));
-                index.insert(succ, id);
-                new_indices.push(id);
-                if states.len() >= self.opts.max_states {
-                    report.truncated = true;
-                    break;
-                }
-            }
-
-            for &id in &new_indices {
-                self.check_state_naive(id, &states, &parents, props, &mut report);
-                if report.violations.len() >= self.opts.max_violations
-                    && !report.violations.is_empty()
-                {
-                    break 'outer;
-                }
-            }
-
-            depth += 1;
-            report.depth = depth;
-            if report.truncated {
-                break;
-            }
-            frontier = new_indices;
-        }
-
-        // The naive terminal-state rescan: a second full pass of
-        // successor generation over every reached state.
-        let mut succ_counts = vec![NOT_EXPANDED; states.len()];
-        if !report.truncated && report.violations.is_empty() {
-            for (id, st) in states.iter().enumerate() {
-                let n = self.naive_successor_count(st);
-                succ_counts[id] = u32::try_from(n).unwrap_or(u32::MAX - 1);
-                if n == 0 {
-                    report.terminal_states += 1;
-                    if !st.is_quiescent() {
-                        report.deadlocks.push(Deadlock {
-                            trace: rebuild_trace_arcs(id, &states, &parents),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Pack the visited set so both pipelines return the same shape.
-        let mut arena = StateArena::new(StateCodec::new(self.rules.topology()));
-        for st in &states {
-            arena.push_state(st);
-        }
-
-        report.states = arena.len();
-        report.memory_bytes = arena.approx_heap_bytes();
-        report.elapsed = start.elapsed();
-        Exploration { report, arena, successor_counts: succ_counts }
-    }
-
-    fn check_state_naive(
-        &self,
-        id: usize,
-        states: &[Arc<SystemState>],
-        parents: &[Option<(usize, RuleId)>],
-        props: &[&dyn Property],
-        report: &mut Report,
-    ) {
-        let st = &states[id];
-        for p in props {
-            let outcome = p.check(st);
-            if let crate::property::PropertyOutcome::Violated(detail) = outcome {
-                report.violations.push(Violation {
-                    property: p.name().to_string(),
-                    detail,
-                    trace: rebuild_trace_arcs(id, states, parents),
-                });
-                if report.violations.len() >= self.opts.max_violations {
-                    return;
-                }
-            }
-        }
-    }
-
-    fn naive_successor_count(&self, s: &SystemState) -> usize {
-        if let Some(prune) = &self.opts.prune {
-            if prune(s) {
-                return 0;
-            }
-        }
-        self.rules.successors_naive(s).len()
     }
 }
 
@@ -3333,7 +1588,7 @@ impl<'a> PoolShared<'a> {
                     // would cost more than the decode it saves.
                     let mut no_spare: Vec<Box<SystemState>> = Vec::new();
                     for (id, encoded) in items.iter() {
-                        let outcome = expand_one(
+                        expand_one(
                             self.rules,
                             self.codec,
                             self.prune,
@@ -3353,11 +1608,6 @@ impl<'a> PoolShared<'a> {
                             &mut no_spare,
                             &mut out,
                         );
-                        if outcome.is_err() {
-                            *cur = self.codec.blank();
-                            fire_scratch = self.codec.blank();
-                            canon_scratch = Vec::new();
-                        }
                     }
                     JobResult::Expanded { chunk, out }
                 }
@@ -3457,7 +1707,7 @@ impl<'a> PoolShared<'a> {
     }
 }
 
-/// A worker pool whose threads spawn on first use. The sharded driver's
+/// A worker pool whose threads spawn on first use. The search's
 /// phase gates are work-based, so a run whose levels are all narrow
 /// enough to process inline never submits a job — and with this wrapper
 /// it never pays thread spawn/join either (on an oversold single-core
@@ -3495,33 +1745,319 @@ impl LazyPool<'_, '_> {
     }
 }
 
-/// Full resident footprint of the search, the quantity
-/// [`CheckOptions::mem_budget`] bounds: the packed arena, the dedup
-/// fingerprint table, the parent links, the successor counts, and the
-/// frontier queues (`queue_slots` = total `usize` slots across them).
-fn search_footprint(
-    arena: &StateArena,
-    index: &FpIndex,
-    parents_cap: usize,
-    succ_counts_cap: usize,
-    queue_slots: usize,
-) -> usize {
-    arena.approx_heap_bytes()
-        + index.approx_heap_bytes()
-        + parents_cap * std::mem::size_of::<Option<(usize, RuleId)>>()
-        + succ_counts_cap * std::mem::size_of::<u32>()
-        + queue_slots * std::mem::size_of::<usize>()
+// ---------------------------------------------------------------------
+// The search state.
+// ---------------------------------------------------------------------
+
+/// Everything one search mutates across its levels: the store and its
+/// side columns, the frontier queues, the report under construction, the
+/// over-cap side store, and the flight recorder and phase clock.
+struct Search<'r> {
+    store: ShardedStore,
+    /// Parent links for trace rebuilding, indexed by global id.
+    parents: Vec<Option<(usize, RuleId)>>,
+    /// Per-state successor counts, recorded at expansion time.
+    succ_counts: Vec<u32>,
+    /// Dense per-rule firing counters (shapes × devices of the topology).
+    firings: Vec<u64>,
+    /// The level being expanded (global ids, discovery order).
+    frontier: Vec<usize>,
+    /// The states stored while expanding it — the next frontier.
+    new_indices: Vec<usize>,
+    depth: usize,
+    report: Report,
+    /// Side store for over-cap states checked transiently after
+    /// truncation, so a state reached twice in the truncated tail is
+    /// deduped and checked once.
+    transient: StateArena,
+    transient_index: FpIndex,
+    /// Has the degradation ladder's first rung fired?
+    shed_done: bool,
+    /// The decoded-frontier ring, filled and read by fused inline levels.
+    ring: Ring,
+    flight: Flight<'r>,
+    clock: PhaseClock,
+}
+
+impl Search<'_> {
+    /// Full resident footprint of the search, the quantity
+    /// [`CheckOptions::mem_budget`] bounds: every shard's segment and
+    /// index, the global directory, the parent links, the successor
+    /// counts, and the frontier queues (`queue_slots` = total `usize`
+    /// slots across them).
+    fn footprint(&self, queue_slots: usize) -> usize {
+        let store = &self.store;
+        let mut total = store.dir.capacity() * std::mem::size_of::<(u32, u32)>();
+        for shard in store.shards.iter().flatten() {
+            total += shard.segment.approx_heap_bytes() + shard.index.approx_heap_bytes();
+        }
+        total
+            + self.parents.capacity() * std::mem::size_of::<Option<(usize, RuleId)>>()
+            + self.succ_counts.capacity() * std::mem::size_of::<u32>()
+            + queue_slots * std::mem::size_of::<usize>()
+    }
+
+    /// The degradation ladder's first rung, as its boundary and mid-level
+    /// firings share it: drop the decoded ring for the rest of the run,
+    /// shrink the store and its side columns to fit, and record the step
+    /// against the `before` footprint. Returns the footprint after.
+    fn shed(&mut self, before: usize, queue_slots: usize) -> usize {
+        self.shed_done = true;
+        self.ring.shed();
+        self.store.shrink_to_fit();
+        self.parents.shrink_to_fit();
+        self.succ_counts.shrink_to_fit();
+        let after = self.footprint(queue_slots);
+        self.report.sheds.push(DegradationStep {
+            action: DegradationAction::ShedBuffers { reclaimed: before.saturating_sub(after) },
+            at_states: self.store.len(),
+            footprint: after,
+        });
+        after
+    }
+
+    /// Record one parent's expansion outcome: its successor count and
+    /// terminal or deadlock status, or its quarantine. `decoded` says
+    /// whether `cur` already holds the parent (it is decoded here only
+    /// when the parent turns out terminal). Returns whether the parent
+    /// expanded.
+    fn settle(
+        &mut self,
+        parent: usize,
+        outcome: &Outcome,
+        cur: &mut SystemState,
+        decoded: bool,
+    ) -> bool {
+        match outcome {
+            Outcome::Poisoned(message) => {
+                self.flight.note(FlightKind::Quarantine, parent as u64, 0, message);
+                self.report.quarantined.push(quarantine_of(parent, &self.store, message.clone()));
+                false
+            }
+            Outcome::Succs(n) => {
+                self.succ_counts[parent] = (*n).min(u32::MAX - 1);
+                if *n == 0 {
+                    self.report.terminal_states += 1;
+                    if !decoded {
+                        self.store.decode_into(parent, cur);
+                    }
+                    // Frontier order is discovery order, so deadlock
+                    // traces come out in the order the naive rescan
+                    // produced.
+                    if !cur.is_quiescent() {
+                        let trace = rebuild_trace(parent, &self.store, &self.parents);
+                        self.report.deadlocks.push(Deadlock { trace });
+                    }
+                }
+                true
+            }
+        }
+    }
+
+    /// Serialize the search state straight from the store and write it
+    /// (atomically) to `dir`. A failed write degrades to a stderr warning
+    /// and the search continues — the resilience layer must not become a
+    /// crash source itself.
+    fn checkpoint(
+        &mut self,
+        rules: &Ruleset,
+        dir: &Path,
+        fingerprint: u64,
+        resumable: bool,
+        elapsed: Duration,
+        reduction_stats: Option<ReductionStats>,
+    ) {
+        let t = self.clock.tick();
+        // Pushed *before* encoding, so the checkpoint file on disk
+        // carries its own write event — a resumed run's flight recorder
+        // then shows the very write it came back from.
+        self.flight.note(
+            FlightKind::CheckpointWrite,
+            self.depth as u64,
+            self.store.len() as u64,
+            "",
+        );
+        let report = &self.report;
+        let source = CheckpointSource {
+            fingerprint,
+            resumable,
+            depth: self.depth,
+            elapsed,
+            transitions: report.transitions,
+            terminal_states: report.terminal_states,
+            truncated: report.truncated,
+            truncated_by_memory: report.truncated_by_memory,
+            truncated_by_time: report.truncated_by_time,
+            store: &self.store,
+            parents: &self.parents,
+            succ_counts: &self.succ_counts,
+            frontier: &self.frontier,
+            firings: &self.firings,
+            violations: &report.violations,
+            deadlocks: &report.deadlocks,
+            quarantined: &report.quarantined,
+            sheds: &report.sheds,
+            reduction_stats,
+            flight: &self.flight.ring.events(),
+        };
+        if let Err(e) = source.write_atomic(rules, dir) {
+            eprintln!("warning: checkpoint write failed: {e}");
+        }
+        self.clock.tock(Phase::Checkpoint, t);
+    }
+}
+
+/// The flight-recorder ring plus the telemetry recorder its events are
+/// mirrored to.
+struct Flight<'r> {
+    ring: FlightRing,
+    recorder: Option<&'r dyn cxl_telemetry::Recorder>,
+}
+
+impl Flight<'_> {
+    /// Record an event (a no-op when the ring's capacity is 0).
+    fn note(&mut self, kind: FlightKind, a: u64, b: u64, detail: &str) {
+        if let Some(event) = self.ring.push(kind, a, b, detail) {
+            if let Some(rec) = self.recorder {
+                rec.record_event(event);
+            }
+        }
+    }
+}
+
+/// Level-boundary snapshot of the cumulative counters level records
+/// report deltas of.
+struct Marks {
+    transitions: usize,
+    sheds: usize,
+    quarantined: usize,
+    violations: usize,
+    sealed: u64,
+    faulted: u64,
+}
+
+impl Marks {
+    fn of(s: &Search<'_>) -> Self {
+        let (sealed, faulted) = s.store.spill_counts();
+        Marks {
+            transitions: s.report.transitions,
+            sheds: s.report.sheds.len(),
+            quarantined: s.report.quarantined.len(),
+            violations: s.report.violations.len(),
+            sealed,
+            faulted,
+        }
+    }
+}
+
+/// The decoded-frontier ring (see [`CheckOptions::frontier_ring`]):
+/// `cur[j]` is the decoded form of `frontier[j]` for a prefix of the
+/// level, and `next[j]` of the level's j-th stored state. Each `next`
+/// slot is *stolen* from the firing scratch at generation time, the
+/// moment its successor is encoded, so the captured state is the very
+/// state whose bytes were stored: the ring is invisible in the results,
+/// and filling it costs no re-firing and no decode. Duplicates hand their
+/// slot back to `spare`, so steady state allocates nothing. Slots are
+/// boxed: every hand-off — chunk → `next` → `cur` → `spare` — moves a
+/// pointer, not a half-KiB state, which is what lets the fill cost less
+/// than the decodes it saves.
+// `Vec<Box<_>>` is deliberate (see `expand_one`).
+#[allow(clippy::vec_box)]
+struct Ring {
+    cap: usize,
+    on: bool,
+    /// Is this level's `next` prefix still growing? Cleared the first
+    /// time a stored state cannot enter it.
+    filling: bool,
+    cur: Vec<Box<SystemState>>,
+    next: Vec<Box<SystemState>>,
+    spare: Vec<Box<SystemState>>,
+}
+
+impl Ring {
+    fn new(cap: usize) -> Self {
+        Ring {
+            cap,
+            on: cap > 0,
+            filling: false,
+            cur: Vec::new(),
+            next: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// How many of the next parent's successors expansion may steal.
+    fn steal_cap(&self) -> usize {
+        if self.on && self.filling {
+            self.cap.saturating_sub(self.next.len())
+        } else {
+            0
+        }
+    }
+
+    /// The decoded states held, priced for the memory budget with
+    /// `sample`'s heap size.
+    fn bytes(&self, sample: &SystemState) -> usize {
+        (self.cur.len() + self.next.len() + self.spare.len())
+            * (std::mem::size_of::<SystemState>() + cxl_core::heap_state_bytes(sample))
+    }
+
+    /// Hand an unused stolen slot back for reuse (dropped once shed).
+    fn recycle(&mut self, slot: Option<Box<SystemState>>) {
+        if self.on {
+            self.spare.extend(slot);
+        }
+    }
+
+    /// A stored state's stolen slot joins `next` while the prefix holds:
+    /// `next[j]` must stay aligned with the j-th stored state, so the
+    /// first stored state without a slot (or past the cap) ends the fill.
+    fn admit(&mut self, slot: Option<Box<SystemState>>) {
+        match slot {
+            Some(slot) if self.on && self.filling && self.next.len() < self.cap => {
+                self.next.push(slot);
+            }
+            other => {
+                self.filling = false;
+                self.recycle(other);
+            }
+        }
+    }
+
+    /// The degradation ladder's first rung: drop every slot for the rest
+    /// of the run.
+    fn shed(&mut self) {
+        self.on = false;
+        self.cur = Vec::new();
+        self.next = Vec::new();
+        self.spare = Vec::new();
+    }
+
+    /// Level end: consumed slots become spares, and the states stolen
+    /// for the next level become its ring.
+    fn rotate(&mut self) {
+        if self.on {
+            self.spare.append(&mut self.cur);
+            self.spare.truncate(self.cap);
+            std::mem::swap(&mut self.cur, &mut self.next);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
-// The sharded visited set.
+// The shard-owned visited set.
 // ---------------------------------------------------------------------
 
-/// Read access to stored states by global (discovery-order) id —
-/// implemented by the sequential driver's single [`StateArena`] and the
-/// sharded driver's [`ShardedStore`], so trace rebuilding, quarantines,
-/// property checks, and the pool's chunk protocol are driver-agnostic.
-trait StateStore {
+/// Read access to stored states by global (discovery-order) id — the
+/// search's [`ShardedStore`] and a plain [`StateArena`] — so trace
+/// rebuilding, quarantines, property checks, the pool's chunk protocol,
+/// and the checkpoint encoder read either.
+pub(crate) trait StateStore {
+    /// Number of stored states.
+    fn len(&self) -> usize;
+    /// Σ full-encoding lengths of every stored state: the exact size of
+    /// the materialized payload.
+    fn full_payload_bytes(&self) -> usize;
     /// Append state `id`'s **full encoding** to `out` — materialized
     /// from its delta chain / spilled extent when the store compresses,
     /// byte-identical to what was originally stored.
@@ -3531,6 +2067,12 @@ trait StateStore {
 }
 
 impl StateStore for StateArena {
+    fn len(&self) -> usize {
+        StateArena::len(self)
+    }
+    fn full_payload_bytes(&self) -> usize {
+        StateArena::full_payload_bytes(self)
+    }
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
         StateArena::append_full_bytes(self, id, out);
     }
@@ -3542,20 +2084,20 @@ impl StateStore for StateArena {
     }
 }
 
-/// One shard of the sharded driver's visited set: a private dedup index
-/// over a private packed-state segment. The pair moves wholesale through
-/// the job queue, so the worker draining a shard's inbox mutates both as
-/// the sole owner — no shared visited set, no lock, no atomics.
+/// One shard of the visited set: a private dedup index over a private
+/// packed-state segment. The pair moves wholesale through the job queue,
+/// so the worker draining a shard's inbox mutates both as the sole owner
+/// — no shared visited set, no lock, no atomics.
 struct ShardState {
     index: FpIndex,
     segment: StateArena,
 }
 
-/// The sharded driver's visited set: S shard-owned (index, segment)
-/// pairs plus a global directory mapping discovery-order global ids to
-/// `(shard, slot)` — the bookkeeping that makes shard-local storage look
-/// like the sequential driver's single arena (and merge back into one,
-/// byte-identically, for checkpoints and the returned [`Exploration`]).
+/// The search's visited set: S shard-owned (index, segment) pairs. With
+/// more than one shard a global directory maps discovery-order global
+/// ids to `(shard, slot)`; a single shard needs none — its segment holds
+/// every state in discovery order, so the global id is the slot and the
+/// segment *is* the arena.
 ///
 /// Shards are held in `Option`s so [`Self::take_shard`] can move a
 /// shard's state into a [`Job::Dedup`] and [`Self::put_shard`] can slot
@@ -3580,9 +2122,47 @@ impl ShardedStore {
         }
     }
 
-    /// Total stored states (across all shards).
-    fn len(&self) -> usize {
-        self.dir.len()
+    /// Rebuild the store from a checkpoint's discovery-order arena.
+    /// Replaying fingerprint inserts in discovery order reproduces the
+    /// writing run's insertion order in every shard (routing is a pure
+    /// function of the fingerprint), whatever shard count wrote it; one
+    /// shard adopts the arena itself as its segment.
+    fn restore(arena: StateArena, fps: &[u64], shards: usize) -> Self {
+        let mut store = ShardedStore::new(*arena.codec(), shards);
+        if shards <= 1 {
+            let mut index = FpIndex::with_capacity(arena.len());
+            for (i, &fp) in fps.iter().enumerate() {
+                let slot = u32::try_from(i).expect("state count fits u32");
+                index.insert(fp, slot, |id| arena.bytes_of(id as usize) == arena.bytes_of(i));
+            }
+            store.shards[0] = Some(ShardState { index, segment: arena });
+            return store;
+        }
+        for (gid, &fp) in fps.iter().enumerate() {
+            let s = shard_of(fp, shards);
+            let ShardState { index, segment } = store.shard_mut(s);
+            let slot = u32::try_from(segment.len()).expect("state count fits u32");
+            index.insert(fp, slot, |id| segment.bytes_of(id as usize) == arena.bytes_of(gid));
+            segment.push_encoded(arena.bytes_of(gid));
+            store.commit(s, slot);
+        }
+        store
+    }
+
+    /// Arm parent-delta storage and cold-extent spill in every segment.
+    /// Deltas are shard-local: a successor compresses against its BFS
+    /// parent only when the parent landed in the same shard.
+    fn arm(&mut self, delta_keyframe: u32, spill_dir: Option<&Path>) {
+        for (i, shard) in self.shards.iter_mut().flatten().enumerate() {
+            if delta_keyframe > 0 {
+                shard.segment.enable_delta(delta_keyframe);
+            }
+            if let Some(dir) = spill_dir {
+                // A spill dir that cannot be created degrades to a
+                // resident shard: the memory ladder still guards the run.
+                let _ = shard.segment.enable_spill(dir, &format!("shard{i}"));
+            }
+        }
     }
 
     fn shard(&self, s: usize) -> &ShardState {
@@ -3604,6 +2184,48 @@ impl ShardedStore {
         self.shards[s] = Some(state);
     }
 
+    /// Where global id `gid` lives: `(shard, slot)`.
+    fn locate(&self, gid: usize) -> (usize, usize) {
+        if self.shards.len() == 1 {
+            return (0, gid);
+        }
+        let (s, slot) = self.dir[gid];
+        (s as usize, slot as usize)
+    }
+
+    /// Assign the next global id to the fresh state at `slot` of shard
+    /// `s`. Commits append to each shard in global order, so with one
+    /// shard the id is the slot.
+    fn commit(&mut self, s: usize, slot: u32) -> usize {
+        if self.shards.len() == 1 {
+            return slot as usize;
+        }
+        self.dir.push((u32::try_from(s).expect("shard fits u32"), slot));
+        self.dir.len() - 1
+    }
+
+    /// Dedup `encoded` (fingerprint `fp`) in its owning shard. A new
+    /// state is stored — as a delta against `parent` when delta storage
+    /// is armed and the parent lives in the same shard — and its global
+    /// id returned; a known one returns `None`.
+    fn insert(&mut self, fp: u64, encoded: &[u8], parent: Option<usize>) -> Option<usize> {
+        let s = shard_of(fp, self.shards.len());
+        let base = parent.map(|p| self.locate(p)).filter(|&(ps, _)| ps == s);
+        let ShardState { index, segment } = self.shard_mut(s);
+        let slot = u32::try_from(segment.len()).expect("state count fits u32");
+        if index.insert(fp, slot, |id| segment.entry_matches(id as usize, encoded)).is_some() {
+            return None;
+        }
+        segment.push_encoded_delta(encoded, base.map(|(_, pslot)| pslot as u32));
+        Some(self.commit(s, slot))
+    }
+
+    /// Is `encoded` already stored? A read-only probe of its owner.
+    fn contains(&self, fp: u64, encoded: &[u8]) -> bool {
+        let ShardState { index, segment } = self.shard(shard_of(fp, self.shards.len()));
+        index.probe(fp, |id| segment.entry_matches(id as usize, encoded)).is_some()
+    }
+
     /// The degradation ladder's shed step, per shard.
     fn shrink_to_fit(&mut self) {
         for shard in self.shards.iter_mut().flatten() {
@@ -3613,34 +2235,51 @@ impl ShardedStore {
         self.dir.shrink_to_fit();
     }
 
+    fn spill_armed(&self) -> bool {
+        self.shards.iter().flatten().any(|s| s.segment.spill_armed())
+    }
+
     /// Total resident payload bytes across shard segments — the spill
     /// watermark's input.
     fn resident_payload_bytes(&self) -> usize {
         self.shards.iter().flatten().map(|s| s.segment.resident_payload_bytes()).sum()
     }
 
+    /// Run-total (sealed, faulted) extent counters over all segments.
+    fn spill_counts(&self) -> (u64, u64) {
+        self.shards.iter().flatten().fold((0, 0), |(sealed, faulted), s| {
+            (sealed + s.segment.spilled_extents(), faulted + s.segment.faulted_extents())
+        })
+    }
+
+    /// States stored as parent-deltas, over all segments.
+    fn delta_entries(&self) -> u64 {
+        self.shards.iter().flatten().map(|s| s.segment.delta_entries() as u64).sum()
+    }
+
     /// Seal every shard's entries below the current frontier (global
     /// ids) into cold extents and drop them from RAM. Commits append to
     /// each shard in global order, so a level's slots are a suffix of
     /// its shard segment — everything below the frontier's minimum slot
-    /// per shard is fully expanded. No-op on shards without spill armed.
+    /// per shard is fully expanded. No-op unless spill is armed.
     fn spill_cold_below(&mut self, frontier: &[usize]) {
+        if !self.spill_armed() {
+            return;
+        }
         let mut floors: Vec<usize> = self
             .shards
             .iter()
             .map(|s| s.as_ref().map_or(0, |s| s.segment.len()))
             .collect();
         for &gid in frontier {
-            let (s, slot) = self.dir[gid];
-            let seg = &self.shards[s as usize].as_ref().expect("shard present").segment;
+            let (s, slot) = self.locate(gid);
             // Seal below the frontier's keyframe-chain roots, not its
             // raw slots, so expanding the frontier never faults.
-            let floor = &mut floors[s as usize];
-            *floor = (*floor).min(seg.decode_floor(slot as usize));
+            floors[s] = floors[s].min(self.shard(s).segment.decode_floor(slot));
         }
-        for (s, floor) in floors.iter().enumerate() {
-            if let Some(shard) = &mut self.shards[s] {
-                let _ = shard.segment.spill_cold(*floor);
+        for (shard, floor) in self.shards.iter_mut().zip(floors) {
+            if let Some(shard) = shard {
+                let _ = shard.segment.spill_cold(floor);
             }
         }
     }
@@ -3664,12 +2303,14 @@ impl ShardedStore {
         }
     }
 
-    /// Merge the shard segments into one arena in global discovery
-    /// order — the sequential driver's exact byte layout, so checkpoints
-    /// and the returned [`Exploration`] are shard-count-free.
-    fn merged(&self) -> StateArena {
-        let bytes = self.shards.iter().flatten().map(|s| s.segment.byte_len()).sum();
-        let mut arena = StateArena::with_capacity(self.codec, self.dir.len(), bytes);
+    /// The visited set as one arena in global discovery order: a single
+    /// shard's segment as it is, several merged into the byte layout one
+    /// shard would hold, so the result is shard-count-free.
+    fn into_arena(mut self) -> StateArena {
+        if self.shards.len() == 1 {
+            return self.take_shard(0).segment;
+        }
+        let mut arena = StateArena::with_capacity(self.codec, self.dir.len(), self.full_payload_bytes());
         for &(s, slot) in &self.dir {
             arena.push_full_from(&self.shard(s as usize).segment, slot as usize);
         }
@@ -3678,25 +2319,34 @@ impl ShardedStore {
 }
 
 impl StateStore for ShardedStore {
+    fn len(&self) -> usize {
+        if self.shards.len() == 1 {
+            self.shard(0).segment.len()
+        } else {
+            self.dir.len()
+        }
+    }
+    fn full_payload_bytes(&self) -> usize {
+        self.shards.iter().flatten().map(|s| s.segment.full_payload_bytes()).sum()
+    }
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
-        let (s, slot) = self.dir[id];
-        self.shard(s as usize).segment.append_full_bytes(slot as usize, out);
+        let (s, slot) = self.locate(id);
+        self.shard(s).segment.append_full_bytes(slot, out);
     }
     fn decode(&self, id: usize) -> SystemState {
-        let (s, slot) = self.dir[id];
-        self.shard(s as usize).segment.decode(slot as usize)
+        let (s, slot) = self.locate(id);
+        self.shard(s).segment.decode(slot)
     }
     fn decode_into(&self, id: usize, out: &mut SystemState) {
-        let (s, slot) = self.dir[id];
-        self.shard(s as usize).segment.decode_into(slot as usize, out);
+        let (s, slot) = self.locate(id);
+        self.shard(s).segment.decode_into(slot, out);
     }
 }
 
 /// A successor in flight to its owning shard: the global sequence number
-/// (frontier order × successor order — the sequential driver's merge
-/// order), the discovering edge, and the end offset of its packed
-/// (canonical) bytes in the carrying [`Inbox`]'s buffer, plus their
-/// fingerprint.
+/// (frontier order × successor order, the order a serial merge walks),
+/// the discovering edge, and the end offset of its packed (canonical)
+/// bytes in the carrying [`Inbox`]'s buffer, plus their fingerprint.
 struct RoutedMsg {
     seq: u64,
     parent: u32,
@@ -3794,8 +2444,8 @@ fn emit_succ(
 /// rule firing, encoding, or canonicalization poisons this one parent.
 /// On poison, every partially emitted successor is rolled back (stolen
 /// decodes recycled to `spare`), so a quarantined state contributes
-/// exactly zero successors, and the caller must re-blank the scratch
-/// states (the panic may have left them torn).
+/// exactly zero successors, and the scratch states are re-blanked (the
+/// panic may have left them torn).
 ///
 /// While the chunk holds fewer than `steal_cap` items, each successor's
 /// decoded form is *stolen* at generation time — swapped out of the
@@ -3825,7 +2475,7 @@ fn expand_one(
     steal_cap: usize,
     spare: &mut Vec<Box<SystemState>>,
     chunk: &mut ExpandedChunk,
-) -> Result<(), String> {
+) {
     let items_mark = chunk.items.len();
     let buf_mark = chunk.buf.len();
     let decoded_mark = chunk.decoded.len();
@@ -3853,121 +2503,46 @@ fn expand_one(
                 if i < steal_cap && chunk.decoded.len() == i {
                     let mut slot = spare.pop().unwrap_or_else(|| Box::new(codec.blank()));
                     std::mem::swap(&mut *slot, succ);
-                    chunk.decoded.push(Some(slot));
+                    chunk.decoded.push(slot);
                 }
             }),
         }
     }));
-    match expanded {
+    let outcome = match expanded {
         Ok(()) => {
             let emitted = u32::try_from(chunk.items.len() - items_mark)
                 .unwrap_or(u32::MAX - 1);
-            chunk.parents.push((parent, Outcome::Succs(emitted)));
-            Ok(())
+            Outcome::Succs(emitted)
         }
         Err(payload) => {
-            spare.extend(chunk.decoded.drain(decoded_mark..).flatten());
+            spare.extend(chunk.decoded.drain(decoded_mark..));
             chunk.items.truncate(items_mark);
             chunk.buf.truncate(buf_mark);
-            let message = panic_message(payload.as_ref());
-            chunk.parents.push((parent, Outcome::Poisoned(message.clone())));
-            Err(message)
+            **cur = codec.blank();
+            *fire_scratch = codec.blank();
+            *canon_scratch = Vec::new();
+            Outcome::Poisoned(panic_message(payload.as_ref()))
         }
-    }
-}
-
-/// [`search_footprint`] for the sharded driver: every shard's segment
-/// and index, the global directory, and the shared bookkeeping.
-fn sharded_footprint(
-    store: &ShardedStore,
-    parents_cap: usize,
-    succ_counts_cap: usize,
-    queue_slots: usize,
-) -> usize {
-    let mut total = store.dir.capacity() * std::mem::size_of::<(u32, u32)>();
-    for shard in store.shards.iter().flatten() {
-        total += shard.segment.approx_heap_bytes() + shard.index.approx_heap_bytes();
-    }
-    total
-        + parents_cap * std::mem::size_of::<Option<(usize, RuleId)>>()
-        + succ_counts_cap * std::mem::size_of::<u32>()
-        + queue_slots * std::mem::size_of::<usize>()
-}
-
-/// Run-total (sealed, faulted) extent counters summed over shard
-/// segments — the sharded analogue of the arena's own counters.
-fn sharded_spill_counts(store: &ShardedStore) -> (u64, u64) {
-    let mut sealed = 0;
-    let mut faulted = 0;
-    for shard in store.shards.iter().flatten() {
-        sealed += shard.segment.spilled_extents();
-        faulted += shard.segment.faulted_extents();
-    }
-    (sealed, faulted)
-}
-
-/// Serialize the search state and write it (atomically) to the policy
-/// directory. A failed write degrades to a stderr warning and the search
-/// continues — the resilience layer must not become a crash source
-/// itself.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    rules: &Ruleset,
-    dir: &std::path::Path,
-    fingerprint: u64,
-    resumable: bool,
-    depth: usize,
-    elapsed: Duration,
-    arena: &StateArena,
-    parents: &[Option<(usize, RuleId)>],
-    succ_counts: &[u32],
-    frontier: &[usize],
-    firings: &[u64],
-    report: &Report,
-    reduction_stats: Option<ReductionStats>,
-    flight: &[FlightEvent],
-) {
-    let source = CheckpointSource {
-        fingerprint,
-        resumable,
-        depth,
-        elapsed,
-        transitions: report.transitions,
-        terminal_states: report.terminal_states,
-        truncated: report.truncated,
-        truncated_by_memory: report.truncated_by_memory,
-        truncated_by_time: report.truncated_by_time,
-        arena,
-        parents,
-        succ_counts,
-        frontier,
-        firings,
-        violations: &report.violations,
-        deadlocks: &report.deadlocks,
-        quarantined: &report.quarantined,
-        sheds: &report.sheds,
-        reduction_stats,
-        flight,
     };
-    if let Err(e) = source.write_atomic(rules, dir) {
-        eprintln!("warning: checkpoint write failed: {e}");
-    }
+    chunk.parents.push((parent, outcome));
 }
 
-/// Record a flight event, mirroring it to the telemetry recorder (the
-/// ring may be disabled — capacity 0 — in which case nothing happens).
-fn flight_note(
-    ring: &mut FlightRing,
-    recorder: Option<&dyn cxl_telemetry::Recorder>,
-    kind: FlightKind,
-    a: u64,
-    b: u64,
-    detail: &str,
-) {
-    if let Some(event) = ring.push(kind, a, b, detail) {
-        if let Some(rec) = recorder {
-            rec.record_event(event);
-        }
+/// The report's reduction block: the reducer's counters plus the
+/// store's Σ orbit sizes.
+fn reduction_summary(r: &dyn Reducer, orbit_states: u64) -> ReductionSummary {
+    let stats = r.stats();
+    ReductionSummary {
+        description: r.describe(),
+        group_order: stats.group_order,
+        orbit_canonicalized: stats.orbit_canonicalized,
+        value_canonicalized: stats.value_canonicalized,
+        data_symmetry: stats.data_symmetry,
+        ample_local: stats.ample_local,
+        ample_diamond: stats.ample_diamond,
+        ample_host_drain: stats.ample_host_drain,
+        por: stats.por,
+        canon: stats.canon,
+        orbit_states,
     }
 }
 
@@ -4036,22 +2611,6 @@ fn rebuild_trace(
     }
     rev.reverse();
     Trace { initial: store.decode(cur), steps: rev }
-}
-
-/// [`rebuild_trace`] over the naive pipeline's heap visited set.
-fn rebuild_trace_arcs(
-    id: usize,
-    states: &[Arc<SystemState>],
-    parents: &[Option<(usize, RuleId)>],
-) -> Trace {
-    let mut rev = Vec::new();
-    let mut cur = id;
-    while let Some((parent, rule)) = parents[cur] {
-        rev.push(Step { rule, state: (*states[cur]).clone() });
-        cur = parent;
-    }
-    rev.reverse();
-    Trace { initial: (*states[cur]).clone(), steps: rev }
 }
 
 #[cfg(test)]
@@ -4139,111 +2698,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exploration_matches_sequential() {
-        let init = SystemState::initial(programs::store(1), programs::store(2));
-        let seq = checker(ProtocolConfig::strict()).explore(&init, &[]);
-        let opts = CheckOptions { threads: 4, ..CheckOptions::default() };
-        let par = ModelChecker::with_options(Ruleset::new(ProtocolConfig::strict()), opts)
-            .explore(&init, &[]);
-        assert_eq!(seq.report.states, par.report.states);
-        assert_eq!(seq.report.transitions, par.report.transitions);
-        // Deterministic merge: the packed arenas are byte-identical.
-        assert_eq!(seq.arena, par.arena);
-        assert_eq!(seq.successor_counts, par.successor_counts);
-    }
-
-    #[test]
-    fn optimized_exploration_matches_naive_reference() {
-        let init = SystemState::initial(programs::stores(0, 2), programs::loads(2));
-        for cfg in [
-            ProtocolConfig::strict(),
-            ProtocolConfig::full(),
-            ProtocolConfig::relaxed(Relaxation::SnoopPushesGo),
-        ] {
-            let mc = checker(cfg);
-            let fast = mc.explore(&init, &[]);
-            let naive = mc.explore_naive(&init, &[]);
-            assert_eq!(fast.report.states, naive.report.states);
-            assert_eq!(fast.report.transitions, naive.report.transitions);
-            assert_eq!(fast.report.depth, naive.report.depth);
-            assert_eq!(fast.report.terminal_states, naive.report.terminal_states);
-            assert_eq!(fast.report.rule_firings, naive.report.rule_firings);
-            assert_eq!(fast.arena, naive.arena, "discovery order must match");
-            assert_eq!(fast.successor_counts, naive.successor_counts);
-        }
-    }
-
-    #[test]
-    fn prune_limits_expansion() {
-        let init = SystemState::initial(programs::load(), vec![]);
-        let opts = CheckOptions {
-            prune: Some(Arc::new(|s: &SystemState| s.counter > 0) as Prune),
-            ..CheckOptions::default()
-        };
-        let mc = ModelChecker::with_options(Ruleset::new(ProtocolConfig::strict()), opts);
-        let exp = mc.explore(&init, &[]);
-        assert_eq!(exp.report.states, 2, "only the first transition survives pruning");
-    }
-
-    #[test]
-    fn max_states_truncates() {
-        let init = SystemState::initial(programs::stores(0, 3), programs::loads(3));
-        let opts = CheckOptions { max_states: 50, ..CheckOptions::default() };
-        let mc = ModelChecker::with_options(Ruleset::new(ProtocolConfig::strict()), opts);
-        let exp = mc.explore(&init, &[]);
-        assert!(exp.report.truncated);
-        assert!(!exp.report.truncated_by_memory);
-        assert!(exp.report.states <= 51);
-    }
-
-    #[test]
-    fn mem_budget_truncates_cleanly() {
-        // A budget far below the space's packed footprint stops the
-        // search like max_states does — with the memory flag raised and
-        // the store bounded — instead of exhausting the host.
-        let init = SystemState::initial(programs::stores(0, 3), programs::loads(3));
-        let opts = CheckOptions { mem_budget: Some(2048), ..CheckOptions::default() };
-        let mc = ModelChecker::with_options(Ruleset::new(ProtocolConfig::strict()), opts);
-        let exp = mc.explore(&init, &[]);
-        assert!(exp.report.truncated);
-        assert!(exp.report.truncated_by_memory);
-        let unbounded = checker(ProtocolConfig::strict()).explore(&init, &[]);
-        assert!(
-            exp.report.states < unbounded.report.states,
-            "budgeted run must store fewer states ({} vs {})",
-            exp.report.states,
-            unbounded.report.states
-        );
-        // Everything stored still decodes.
-        assert_eq!(exp.state(0), init);
-    }
-
-    #[test]
-    fn truncated_batches_are_still_property_checked() {
-        // Regression test: states generated in the same BFS batch after
-        // `max_states` is reached used to be silently dropped without a
-        // property check. With a cap of 1, every state beyond the initial
-        // one is over-cap — the violating ISAD state must still be found.
-        let init = SystemState::initial(programs::load(), vec![]);
-        let opts = CheckOptions { max_states: 1, ..CheckOptions::default() };
-        let mc = ModelChecker::with_options(Ruleset::new(ProtocolConfig::strict()), opts);
-        let p = boolean_property("no_isad", |s: &SystemState| {
-            s.dev(cxl_core::DeviceId::D1).cache.state != cxl_core::DState::ISAD
-        });
-        let report = mc.check(&init, &[&p]);
-        assert!(report.truncated);
-        assert_eq!(report.violations.len(), 1, "over-cap state must be checked");
-        // The transient trace still replays.
-        let trace = &report.violations[0].trace;
-        let rules = Ruleset::new(ProtocolConfig::strict());
-        let mut cur = trace.initial.clone();
-        for step in &trace.steps {
-            cur = rules.try_fire(step.rule, &cur).expect("transient trace step enabled");
-            assert_eq!(&cur, &step.state);
-        }
-    }
-
-    #[test]
     fn snoop_pushes_go_relaxation_breaks_swmr() {
         // The headline result (paper Table 3 / Figure 5): relaxing
         // Snoop-pushes-GO makes an SWMR violation reachable.
@@ -4303,35 +2757,6 @@ mod tests {
     }
 
     #[test]
-    fn reduced_parallel_exploration_matches_reduced_sequential() {
-        use cxl_reduce::{CanonMode, PorMode, Reduction, ReductionConfig};
-        let init = SystemState::initial_n(
-            3,
-            vec![programs::store(1), programs::store(1), programs::store(1)],
-        );
-        let cfg =
-            ReductionConfig { symmetry: true, data_symmetry: true, por: PorMode::Wide, canon: CanonMode::Auto };
-        let mk_opts = |threads: usize| {
-            let rules = Ruleset::with_devices(ProtocolConfig::strict(), 3);
-            let red = Arc::new(Reduction::new(&rules, &init, cfg));
-            CheckOptions { threads, reduction: Some(red), ..CheckOptions::default() }
-        };
-        let seq = ModelChecker::with_options(
-            Ruleset::with_devices(ProtocolConfig::strict(), 3),
-            mk_opts(1),
-        )
-        .explore(&init, &[]);
-        let par = ModelChecker::with_options(
-            Ruleset::with_devices(ProtocolConfig::strict(), 3),
-            mk_opts(4),
-        )
-        .explore(&init, &[]);
-        assert_eq!(seq.report.states, par.report.states);
-        assert_eq!(seq.report.transitions, par.report.transitions);
-        assert_eq!(seq.arena, par.arena, "reduced discovery order must be deterministic");
-    }
-
-    #[test]
     fn por_only_reduction_prunes_evict_interleavings() {
         use cxl_reduce::{CanonMode, PorMode, Reduction, ReductionConfig};
         // Evicts on invalid lines are safe-local: with POR on, their
@@ -4377,20 +2802,5 @@ mod tests {
         };
         let _ = ModelChecker::with_options(Ruleset::new(ProtocolConfig::strict()), opts)
             .explore(&init, &[]);
-    }
-
-    #[test]
-    fn parallel_property_checking_matches_sequential() {
-        let init = SystemState::initial(programs::store(42), programs::load());
-        let cfg = ProtocolConfig::relaxed(Relaxation::SnoopPushesGo);
-        let seq = checker(cfg).explore(&init, &[&SwmrProperty]);
-        let opts = CheckOptions { threads: 4, ..CheckOptions::default() };
-        let par = ModelChecker::with_options(Ruleset::new(cfg), opts)
-            .explore(&init, &[&SwmrProperty]);
-        assert_eq!(seq.report.violations.len(), par.report.violations.len());
-        let (a, b) = (&seq.report.violations[0], &par.report.violations[0]);
-        assert_eq!(a.property, b.property);
-        assert_eq!(a.trace.len(), b.trace.len());
-        assert_eq!(a.trace.last_state(), b.trace.last_state());
     }
 }

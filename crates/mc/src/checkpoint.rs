@@ -35,6 +35,7 @@
 //! budget between sessions is the whole point of checkpointed campaigns,
 //! and the deterministic merge makes thread count invisible to results.
 
+use crate::checker::StateStore;
 use crate::report::{
     Deadlock, DegradationAction, DegradationStep, Quarantine, Report, Step, Trace, Violation,
 };
@@ -156,9 +157,9 @@ pub fn options_fingerprint(
     StateCodec::fingerprint(&buf)
 }
 
-/// A borrowed view of the checker's mid-run state, serialized without
-/// copying the arena — the write path. The owned mirror is
-/// [`Checkpoint`].
+/// A borrowed view of the checker's mid-run state, serialized straight
+/// from its store without copying it — the write path. The owned mirror
+/// is [`Checkpoint`].
 pub(crate) struct CheckpointSource<'a> {
     pub fingerprint: u64,
     pub resumable: bool,
@@ -169,7 +170,8 @@ pub(crate) struct CheckpointSource<'a> {
     pub truncated: bool,
     pub truncated_by_memory: bool,
     pub truncated_by_time: bool,
-    pub arena: &'a StateArena,
+    /// Every state discovered so far, by global (discovery-order) id.
+    pub store: &'a dyn StateStore,
     pub parents: &'a [Option<(usize, RuleId)>],
     pub succ_counts: &'a [u32],
     pub frontier: &'a [usize],
@@ -185,10 +187,11 @@ pub(crate) struct CheckpointSource<'a> {
 impl CheckpointSource<'_> {
     /// Serialize to the versioned wire format, checksum included.
     pub(crate) fn encode(&self, rules: &Ruleset) -> Vec<u8> {
-        let arena = self.arena;
-        let codec = arena.codec();
-        let n = arena.len();
-        let mut out = Vec::with_capacity(arena.byte_len() + n * 12 + 256);
+        let store = self.store;
+        let codec = StateCodec::new(rules.topology());
+        let n = store.len();
+        let full = store.full_payload_bytes();
+        let mut out = Vec::with_capacity(full + n * 16 + 256);
         out.extend_from_slice(MAGIC);
         put_varint(&mut out, FORMAT_VERSION);
         out.extend_from_slice(&self.fingerprint.to_le_bytes());
@@ -207,30 +210,29 @@ impl CheckpointSource<'_> {
         // deltas), then the dedup fingerprints — which are a pure
         // function of the payload but are stored anyway as an inner
         // integrity layer the reader cross-checks. States are
-        // *materialized* to full encodings here: a delta-compressed or
-        // partially spilled arena checkpoints as plain full bytes, so
-        // resume never needs the writer's extent files or keyframe
-        // layout (and plain arenas serialize byte-identically to before
-        // delta/spill existed).
+        // *materialized* to full encodings here, in global id order: a
+        // delta-compressed, partially spilled, or sharded store
+        // checkpoints as one plain arena of full bytes, so resume never
+        // needs the writer's extent files, keyframe layout, or shard
+        // count (and plain arenas serialize byte-identically to before
+        // delta/spill existed). The payload is materialized straight into
+        // `out` behind its length prefix — the store knows its full size
+        // up front — so the write path never holds a second copy of it.
         put_varint(&mut out, n as u64);
-        let mut payload = Vec::with_capacity(arena.byte_len());
-        let mut ends = Vec::with_capacity(n);
+        put_varint(&mut out, full as u64);
+        let start = out.len();
+        let mut lens = Vec::with_capacity(n);
+        let mut fps = Vec::with_capacity(n);
         for id in 0..n {
-            arena.append_full_bytes(id, &mut payload);
-            ends.push(payload.len());
+            let at = out.len();
+            store.append_full_bytes(id, &mut out);
+            put_varint(&mut lens, (out.len() - at) as u64);
+            fps.push(StateCodec::fingerprint(&out[at..]));
         }
-        put_bytes(&mut out, &payload);
-        let mut at = 0usize;
-        for &end in &ends {
-            put_varint(&mut out, (end - at) as u64);
-            at = end;
-        }
-        at = 0;
-        for &end in &ends {
-            out.extend_from_slice(
-                &StateCodec::fingerprint(&payload[at..end]).to_le_bytes(),
-            );
-            at = end;
+        assert_eq!(out.len() - start, full, "the store's full payload size is exact");
+        out.extend_from_slice(&lens);
+        for fp in fps {
+            out.extend_from_slice(&fp.to_le_bytes());
         }
 
         // Parent links (0 = root, else parent id + 1) and rules as dense
@@ -681,7 +683,7 @@ impl Checkpoint {
             truncated: self.truncated,
             truncated_by_memory: self.truncated_by_memory,
             truncated_by_time: self.truncated_by_time,
-            arena: &self.arena,
+            store: &self.arena,
             parents: &self.parents,
             succ_counts: &self.succ_counts,
             frontier: &self.frontier,

@@ -14,11 +14,13 @@
 //! - deadlock (non-quiescent terminal state) detection;
 //! - optional pruning predicates, reproducing the paper's guided-search
 //!   workflow;
-//! - shard-owned parallel exploration ([`CheckOptions::shards`]): the
-//!   fingerprint space is partitioned across workers, each owning a
-//!   private dedup index and arena segment, with successors routed as
-//!   packed-bytes messages by [`cxl_core::shard_of`] — no shared
-//!   visited set, bit-identical results to the sequential driver;
+//! - one exploration driver for every thread and shard count
+//!   ([`CheckOptions::shards`]): the fingerprint space is partitioned
+//!   into shards, each owning a private dedup index and arena segment,
+//!   with successors routed as packed-bytes messages by
+//!   [`cxl_core::shard_of`] — no shared visited set, no locks or atomics
+//!   on dedup, and bit-identical results at any shard count. One shard
+//!   and no worker pool is the sequential search;
 //! - a decoded-frontier ring ([`CheckOptions::frontier_ring`]) that
 //!   keeps the current BFS level decoded, trading bounded memory for
 //!   skipped per-expansion decodes;
@@ -65,6 +67,7 @@
 
 mod checker;
 mod checkpoint;
+mod oracle;
 mod property;
 mod report;
 

@@ -300,12 +300,12 @@ pub struct Report {
     /// not raw states, and violation traces are in canonical coordinates
     /// (de-permute via `cxl-litmus`'s replay module).
     pub reduction: Option<ReductionSummary>,
-    /// Number of dedup/store shards the driver ran with: 1 for the
-    /// sequential driver, the effective shard count for the sharded
-    /// driver ([`crate::CheckOptions::shards`]).
+    /// Number of dedup/store shards the search ran with
+    /// ([`crate::CheckOptions::shards`]); 1 for a sequential search.
     pub shards: usize,
     /// Successor messages routed to owner shards by fingerprint — one
-    /// per examined transition under the sharded driver, 0 otherwise.
+    /// per transition this session examined when more than one shard
+    /// ran, 0 with a single shard (which routes nothing).
     pub routed_messages: u64,
     /// Shard load imbalance: `(max − mean) / mean × 100` over per-shard
     /// stored-state counts. 0 means perfectly even ownership; the routing

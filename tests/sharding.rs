@@ -1,20 +1,21 @@
-//! Sharded-driver determinism: the shard-owned, fingerprint-routed
-//! exploration must be **bit-identical** to the sequential driver.
+//! Shard-count determinism: the one exploration driver must give
+//! **bit-identical** results at every shard and thread count, with one
+//! shard and no worker pool as the sequential reference.
 //!
-//! The contract under test (ISSUE 7 acceptance bar): for every
-//! reduction-engine combination, at N ∈ {2, 3} and shard counts
-//! {1, 2, 4}, the sharded driver produces the same verdict, state and
-//! transition counts, per-rule firing counts, successor counts, packed
-//! arena bytes, and counterexample traces as a plain sequential run —
-//! whether the shard jobs run inline (threads = 1) or across the worker
-//! pool (threads = 2), and whether the level merges on the lock-free
-//! fast path or the truncation-exact slow path. On top:
+//! The contract under test: for every reduction-engine combination, at
+//! N ∈ {2, 3} and shard counts {1, 2, 4}, a sharded run produces the
+//! same verdict, state and transition counts, per-rule firing counts,
+//! successor counts, packed arena bytes, and counterexample traces as a
+//! plain sequential run — whether the shard jobs run inline (one
+//! thread) or across the worker pool (two threads), and whether a
+//! pooled level dedups routed on the workers or merges serially with
+//! exact truncation semantics. On top:
 //!
 //! - a sharded run interrupted at a BFS level boundary and resumed by a
 //!   *fresh* checker (under the same or a *different* shard count)
 //!   reconstitutes exactly — checkpoints are shard-count-free;
-//! - the sequential driver's decoded-frontier ring is invisible in the
-//!   results at any capacity, including zero.
+//! - the decoded-frontier ring is invisible in the results at any
+//!   capacity, including zero.
 
 use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{ProtocolConfig, Relaxation, Ruleset, SystemState};
@@ -186,8 +187,8 @@ fn pooled_sharded_exploration_matches_sequential() {
 #[test]
 fn sharded_violation_traces_match_sequential() {
     // The paper's Table 3 repro: relaxing Snoop-pushes-GO violates SWMR.
-    // The sharded driver must find the same counterexample, byte for
-    // byte, on both the inline and the pooled path.
+    // A sharded run must find the same counterexample, byte for byte,
+    // on both the inline and the pooled path.
     let cfg = ProtocolConfig::relaxed(Relaxation::SnoopPushesGo);
     let init = SystemState::initial(programs::store(42), programs::load());
     let seq = explore_with(cfg, 2, &init, CheckOptions::default());
@@ -207,7 +208,7 @@ fn sharded_violation_traces_match_sequential() {
 #[test]
 fn sharded_truncation_is_bit_identical() {
     // A tight max_states forces the slow (serial-merge) path, which must
-    // mirror the sequential driver's truncation semantics exactly —
+    // mirror a one-shard run's truncation semantics exactly —
     // including which states make it into the arena and the transient
     // over-cap property checks.
     let cfg = ProtocolConfig::strict();

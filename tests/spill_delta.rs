@@ -1,19 +1,21 @@
 //! Beyond-RAM state store guarantees: parent-delta encoding and
 //! cold-extent spilling must be *invisible* to results.
 //!
-//! The acceptance bar (ISSUE 8): an N=4 strict grid that truncates under
-//! a deliberately small `mem_budget` completes un-truncated with
+//! The acceptance bar: an N=4 strict grid that truncates under a
+//! deliberately small `mem_budget` completes un-truncated with
 //! delta+spill armed, with verdict, state set, and traces bit-identical
 //! to the unrestricted run; checkpoint→resume works across the reduction
-//! matrix with a spill dir active; and the sharded driver's delta store
-//! merges to the sequential driver's exact arena.
+//! matrix with a spill dir active; a multi-shard delta store merges to
+//! the one-shard run's exact arena; and at one shard the whole ladder
+//! (deltas, a spill and a checkpoint every level) completes the N=4 grid
+//! under 8 MiB with a pinned shed and emergency checkpoint.
 
 use cxl_repro::core::instr::{programs, Instruction};
-use cxl_repro::core::{ProtocolConfig, Relaxation, Ruleset, SystemState};
+use cxl_repro::core::{Invariant, ProtocolConfig, Relaxation, Ruleset, SystemState};
 use cxl_repro::litmus::replay_trace;
 use cxl_repro::mc::{
-    CheckOptions, CheckpointPolicy, Exploration, ModelChecker, Reducer, Reduction,
-    ReductionConfig, SwmrProperty,
+    CheckOptions, CheckpointPolicy, DegradationAction, Exploration, InvariantProperty,
+    ModelChecker, Reducer, Reduction, ReductionConfig, SwmrProperty,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -226,8 +228,8 @@ fn sharded_delta_spill_merges_to_the_sequential_arena() {
         let ctx = format!("shards={shards}");
         assert!(sharded.report.delta_entries > 0, "{ctx}: delta engaged across shards");
         assert!(sharded.report.spilled_extents > 0, "{ctx}: spilling engaged across shards");
-        // The merged arena materializes to the sequential driver's
-        // exact byte layout, so plain arena equality applies.
+        // The merged arena materializes to the one-shard run's exact
+        // byte layout, so plain arena equality applies.
         assert_eq!(baseline.arena, sharded.arena, "{ctx}: merged arena");
         assert_same_results(&baseline, &sharded, &ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -302,4 +304,40 @@ fn checkpoint_resume_with_spill_matches_across_reduction_matrix() {
         let _ = std::fs::remove_dir_all(&ckpt);
         let _ = std::fs::remove_dir_all(&spill2);
     }
+}
+
+#[test]
+fn one_shard_ladder_completes_the_n4_grid_under_an_eight_mib_budget() {
+    // The beyond-RAM ladder at one thread (one shard, no pool): delta
+    // keyframe 8, a spill watermark of 0, and a checkpoint at every
+    // level, under an 8 MiB budget, checking SWMR and the §6 invariant.
+    // The store must cost no more than one plain arena: anything extra
+    // (a global-id directory, merged copies for checkpoints) moves the
+    // ladder or truncates the run.
+    let cfg = ProtocolConfig::strict();
+    let (spill, ckpt) = (scratch("ladder-spill"), scratch("ladder-ckpt"));
+    let mut policy = CheckpointPolicy::new(&ckpt);
+    policy.every = Duration::ZERO;
+    let opts = CheckOptions {
+        threads: 1,
+        mem_budget: Some(8 * 1024 * 1024),
+        checkpoint: Some(policy),
+        ..compressed_opts(&spill)
+    };
+    let invariant = InvariantProperty::new(Invariant::for_devices(&cfg, 4));
+    let exp = ModelChecker::with_options(Ruleset::with_devices(cfg, 4), opts)
+        .explore(&n4_grid(), &[&SwmrProperty, &invariant]);
+    let r = &exp.report;
+    assert!(!r.truncated, "the ladder must not truncate: {:?}", r.sheds);
+    assert!(r.clean(), "{r}");
+    assert_eq!(r.states, 67_053);
+    assert_eq!(r.spilled_extents, 9, "sealed extents");
+    assert_eq!(r.faulted_extents, 556, "faulted extents");
+    let ladder: Vec<(DegradationAction, usize)> =
+        r.sheds.iter().map(|s| (s.action, s.at_states)).collect();
+    assert_eq!(ladder.len(), 2, "exactly a shed and an emergency checkpoint: {ladder:?}");
+    assert!(matches!(ladder[0], (DegradationAction::ShedBuffers { .. }, 8_829)), "{ladder:?}");
+    assert!(matches!(ladder[1], (DegradationAction::EmergencyCheckpoint, 58_205)), "{ladder:?}");
+    let _ = std::fs::remove_dir_all(&spill);
+    let _ = std::fs::remove_dir_all(&ckpt);
 }
