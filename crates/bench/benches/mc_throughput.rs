@@ -1178,15 +1178,24 @@ fn bench(c: &mut Criterion) {
             row.baseline_bytes_per_state / row.bytes_per_state.max(1e-9),
         );
         if row.reduction != "none" {
-            println!(
-                "reduction [{} N={}]: {} of {} unreduced states ({:.1}x smaller, {})",
-                row.pipeline,
-                row.devices,
-                row.states,
-                row.states_explored_unreduced,
-                row.states_explored_unreduced as f64 / row.states.max(1) as f64,
-                row.reduction,
-            );
+            // A row whose unreduced count is its own state count carries
+            // the unmeasured sentinel (sym_n6): there is no ratio to print.
+            if row.states_explored_unreduced == row.states {
+                println!(
+                    "reduction [{} N={}]: {} states (unreduced count not measured, {})",
+                    row.pipeline, row.devices, row.states, row.reduction,
+                );
+            } else {
+                println!(
+                    "reduction [{} N={}]: {} of {} unreduced states ({:.1}x smaller, {})",
+                    row.pipeline,
+                    row.devices,
+                    row.states,
+                    row.states_explored_unreduced,
+                    row.states_explored_unreduced as f64 / row.states.max(1) as f64,
+                    row.reduction,
+                );
+            }
         }
         if row.delta_ratio < 1.0 || row.spilled_extents > 0 {
             println!(

@@ -1,7 +1,7 @@
 //! Agreement conjunct families: eviction bookkeeping, program/transient
 //! agreement, host/directory agreement, and host-transient well-formedness.
 
-use super::{Conjunct, Family, Predicate};
+use super::{Conjunct, DStates, Family, Guard, HStates, Occupancy, Predicate};
 use crate::cacheline::{DState, HState};
 use crate::config::ProtocolConfig;
 use crate::ids::{DeviceId, Topology};
@@ -12,6 +12,19 @@ use std::sync::Arc;
 
 fn pred(f: impl Fn(&SystemState) -> bool + Send + Sync + 'static) -> Predicate {
     Arc::new(f)
+}
+
+/// The conjunct `HCache.State ∈ states ⟹ consequent`, guarded by its
+/// antecedent's host states.
+fn host_implies(
+    name: impl Into<String>,
+    family: Family,
+    doc: impl Into<String>,
+    states: HStates,
+    consequent: impl Fn(&SystemState) -> bool + Send + Sync + 'static,
+) -> Conjunct {
+    Conjunct::new(name, family, doc, pred(move |s| !states.contains(s.host.state) || consequent(s)))
+        .guarded(Guard::host(states))
 }
 
 /// Device states compatible with a given eviction request in flight.
@@ -56,12 +69,15 @@ pub(super) fn evict_consistency_conjuncts(
             if ty == D2HReqType::CleanEvictNoData && allowed.is_empty() {
                 // The message cannot occur under this configuration; the
                 // vacuous conjunct asserts exactly that.
-                out.push(Conjunct::new(
-                    format!("evict_req_absent_{ty}_{i}"),
-                    Family::EvictConsistency,
-                    format!("{ty} is never sent when the option is disabled"),
-                    pred(move |s| !s.dev(i).d2h_req.iter().any(|r| r.ty == ty)),
-                ));
+                out.push(
+                    Conjunct::new(
+                        format!("evict_req_absent_{ty}_{i}"),
+                        Family::EvictConsistency,
+                        format!("{ty} is never sent when the option is disabled"),
+                        pred(move |s| !s.dev(i).d2h_req.iter().any(|r| r.ty == ty)),
+                    )
+                    .guarded(Guard::device(i, DStates::ALL, Occupancy::D2H_REQ)),
+                );
                 continue;
             }
             if fine {
@@ -77,9 +93,12 @@ pub(super) fn evict_consistency_conjuncts(
                             !(matches!(s.dev(i).d2h_req.head(), Some(r) if r.ty == ty)
                                 && s.dev(i).cache.state == b)
                         }),
-                    ));
+                    )
+                    .guarded(Guard::device(i, DStates::of(&[b]), Occupancy::D2H_REQ)));
                 }
             } else {
+                let guard =
+                    Guard::device(i, DStates::of(&allowed).complement(), Occupancy::D2H_REQ);
                 out.push(Conjunct::new(
                     format!("evict_req_{ty}_{i}"),
                     Family::EvictConsistency,
@@ -88,7 +107,8 @@ pub(super) fn evict_consistency_conjuncts(
                         Some(r) if r.ty == ty => allowed.contains(&s.dev(i).cache.state),
                         _ => true,
                     }),
-                ));
+                )
+                .guarded(guard));
             }
         }
         // Every eviction transient state has a live transaction behind it.
@@ -101,7 +121,8 @@ pub(super) fn evict_consistency_conjuncts(
                      device {i} is in flight"
                 ),
                 pred(move |s| s.dev(i).cache.state != st || evict_transaction_alive(s, i)),
-            ));
+            )
+            .guarded(Guard::device(i, DStates::of(&[st]), Occupancy::NONE)));
         }
     }
     out
@@ -140,7 +161,8 @@ pub(super) fn program_agreement_conjuncts(topo: Topology, fine: bool) -> Vec<Con
                         s.dev(i).cache.state != st
                             || s.dev(i).prog.first().is_some_and(matches_instr)
                     }),
-                ));
+                )
+                .guarded(Guard::device(i, DStates::of(&[st]), Occupancy::NONE)));
             }
         } else {
             out.push(Conjunct::new(
@@ -154,7 +176,12 @@ pub(super) fn program_agreement_conjuncts(topo: Topology, fine: bool) -> Vec<Con
                     Some(matches_instr) => s.dev(i).prog.first().is_some_and(matches_instr),
                     None => true,
                 }),
-            ));
+            )
+            .guarded(Guard::device(
+                i,
+                DStates::matching(|st| required_instr(st).is_some()),
+                Occupancy::NONE,
+            )));
         }
     }
     out
@@ -163,61 +190,55 @@ pub(super) fn program_agreement_conjuncts(topo: Topology, fine: bool) -> Vec<Con
 /// The host/directory state agrees with the tracked device states
 /// (the flip side of the paper's perfect-tracking assumption, §8).
 pub(super) fn host_agreement_conjuncts(topo: Topology) -> Vec<Conjunct> {
+    let owned = HStates::of(&[HState::M, HState::MB]);
     let mut out = Vec::new();
     for i in topo.devices() {
-        out.push(Conjunct::new(
+        out.push(host_implies(
             format!("host_i_empty_{i}"),
             Family::HostAgreement,
             format!("HCache.State = I ⟹ device {i} neither shares nor owns the line"),
-            pred(move |s| {
-                s.host.state != HState::I || (!s.tracked_sharer(i) && !s.tracked_owner(i))
-            }),
+            HStates::of(&[HState::I]),
+            move |s| !s.tracked_sharer(i) && !s.tracked_owner(i),
         ));
-        out.push(Conjunct::new(
+        out.push(host_implies(
             format!("host_s_no_owner_{i}"),
             Family::HostAgreement,
             format!("HCache.State = S ⟹ device {i} does not own the line"),
-            pred(move |s| s.host.state != HState::S || !s.tracked_owner(i)),
+            HStates::of(&[HState::S]),
+            move |s| !s.tracked_owner(i),
         ));
     }
-    out.push(Conjunct::new(
+    out.push(host_implies(
         "host_s_has_sharer",
         Family::HostAgreement,
         "HCache.State = S ⟹ some device shares (or is about to share) the line",
-        pred(|s| {
-            s.host.state != HState::S || s.device_ids().any(|d| s.tracked_sharer(d))
-        }),
+        HStates::of(&[HState::S]),
+        |s| s.device_ids().any(|d| s.tracked_sharer(d)),
     ));
-    out.push(Conjunct::new(
+    out.push(host_implies(
         "host_m_has_owner",
         Family::HostAgreement,
         "HCache.State = M ⟹ some device owns (or is about to own) the line",
-        pred(|s| {
-            s.host.state != HState::M || s.device_ids().any(|d| s.tracked_owner(d))
-        }),
+        HStates::of(&[HState::M]),
+        |s| s.device_ids().any(|d| s.tracked_owner(d)),
     ));
-    out.push(Conjunct::new(
+    out.push(host_implies(
         "host_m_unique_owner",
         Family::HostAgreement,
         "HCache.State ∈ {M, MB} ⟹ at most one device owns the line",
-        pred(|s| {
-            !matches!(s.host.state, HState::M | HState::MB)
-                || s.device_ids().filter(|&d| s.tracked_owner(d)).count() <= 1
-        }),
+        owned,
+        |s| s.device_ids().filter(|&d| s.tracked_owner(d)).count() <= 1,
     ));
     for (i, j) in topo.ordered_pairs() {
-        out.push(Conjunct::new(
+        out.push(host_implies(
             format!("host_m_owner_excludes_{i}_{j}"),
             Family::HostAgreement,
             format!(
                 "HCache.State ∈ {{M, MB}} ∧ device {i} owns the line ⟹ device {j} does \
                  not share it"
             ),
-            pred(move |s| {
-                !(matches!(s.host.state, HState::M | HState::MB)
-                    && s.tracked_owner(i)
-                    && s.tracked_sharer(j))
-            }),
+            owned,
+            move |s| !(s.tracked_owner(i) && s.tracked_sharer(j)),
         ));
     }
     // Blocked (`…B`) and data-awaiting (`ID`) host states must agree with
@@ -226,41 +247,36 @@ pub(super) fn host_agreement_conjuncts(topo: Topology) -> Vec<Conjunct> {
     // by the randomised inductiveness probe, reproducing the paper's §7.1
     // iteration loop: the probe exhibited an `MB` state with no owner that
     // stepped to `M` with no owner.)
-    out.push(Conjunct::new(
+    out.push(host_implies(
         "host_mb_has_owner",
         Family::HostAgreement,
         "HCache.State = MB ⟹ some device owns (or is about to own) the line",
-        pred(|s| {
-            s.host.state != HState::MB || s.device_ids().any(|d| s.tracked_owner(d))
-        }),
+        HStates::of(&[HState::MB]),
+        |s| s.device_ids().any(|d| s.tracked_owner(d)),
     ));
-    out.push(Conjunct::new(
+    out.push(host_implies(
         "host_sb_has_sharer",
         Family::HostAgreement,
         "HCache.State = SB ⟹ some device shares (or is about to share) the line",
-        pred(|s| {
-            s.host.state != HState::SB || s.device_ids().any(|d| s.tracked_sharer(d))
-        }),
+        HStates::of(&[HState::SB]),
+        |s| s.device_ids().any(|d| s.tracked_sharer(d)),
     ));
     for i in topo.devices() {
-        out.push(Conjunct::new(
+        out.push(host_implies(
             format!("host_sb_ib_no_owner_{i}"),
             Family::HostAgreement,
             format!("HCache.State ∈ {{SB, IB}} ⟹ device {i} does not own the line"),
-            pred(move |s| {
-                !matches!(s.host.state, HState::SB | HState::IB) || !s.tracked_owner(i)
-            }),
+            HStates::of(&[HState::SB, HState::IB]),
+            move |s| !s.tracked_owner(i),
         ));
-        out.push(Conjunct::new(
+        out.push(host_implies(
             format!("host_ib_id_empty_{i}"),
             Family::HostAgreement,
             format!(
                 "HCache.State ∈ {{IB, ID}} ⟹ device {i} neither shares nor owns the line"
             ),
-            pred(move |s| {
-                !matches!(s.host.state, HState::IB | HState::ID)
-                    || (!s.tracked_sharer(i) && !s.tracked_owner(i))
-            }),
+            HStates::of(&[HState::IB, HState::ID]),
+            move |s| !s.tracked_sharer(i) && !s.tracked_owner(i),
         ));
     }
     out
@@ -275,17 +291,19 @@ pub(super) fn blocked_host_conjuncts() -> Vec<Conjunct> {
         })
     };
     vec![
-        Conjunct::new(
+        host_implies(
             "blocked_host_has_pull",
             Family::BlockedHost,
             "HCache.State ∈ {IB, SB, MB} ⟹ a WritePull or its data is in flight",
-            pred(move |s| !s.host.state.is_blocked_on_pull() || pull_outstanding(s)),
+            HStates::matching(HState::is_blocked_on_pull),
+            pull_outstanding,
         ),
-        Conjunct::new(
+        host_implies(
             "id_host_has_writeback",
             Family::BlockedHost,
             "HCache.State = ID ⟹ a WritePull or its write-back data is in flight",
-            pred(move |s| s.host.state != HState::ID || pull_outstanding(s)),
+            HStates::of(&[HState::ID]),
+            pull_outstanding,
         ),
     ]
 }
@@ -316,58 +334,55 @@ pub(super) fn host_transient_conjuncts(_fine: bool) -> Vec<Conjunct> {
         |s: &SystemState| s.device_ids().any(|d| !s.dev(d).d2h_data.is_empty());
 
     vec![
-        Conjunct::new(
+        host_implies(
             "host_granting_s_has_requester",
             Family::HostTransient,
             "HCache.State ∈ {SAD, SD, SA} ⟹ a device awaits its GO-S in ISAD or ISA",
-            pred(move |s| !s.host.state.is_granting_s() || s_requester(s)),
+            HStates::matching(HState::is_granting_s),
+            s_requester,
         ),
-        Conjunct::new(
+        host_implies(
             "host_granting_m_has_requester",
             Family::HostTransient,
             "HCache.State ∈ {MAD, MA, MD} ⟹ a device awaits its GO-M",
-            pred(move |s| !s.host.state.is_granting_m() || m_requester(s)),
+            HStates::matching(HState::is_granting_m),
+            m_requester,
         ),
-        Conjunct::new(
+        host_implies(
             "host_sad_transaction_alive",
             Family::HostTransient,
             "HCache.State = SAD ⟹ the SnpData or its response is still in flight",
-            pred(move |s| {
-                s.host.state != HState::SAD
-                    || snoop_or_rsp(s, H2DReqType::SnpData)
-                    || data_pending(s)
-            }),
+            HStates::of(&[HState::SAD]),
+            move |s| snoop_or_rsp(s, H2DReqType::SnpData) || data_pending(s),
         ),
-        Conjunct::new(
+        host_implies(
             "host_mad_ma_transaction_alive",
             Family::HostTransient,
             "HCache.State ∈ {MAD, MA} ⟹ the SnpInv or its response is still in flight",
-            pred(move |s| {
-                !matches!(s.host.state, HState::MAD | HState::MA)
-                    || snoop_or_rsp(s, H2DReqType::SnpInv)
-            }),
+            HStates::of(&[HState::MAD, HState::MA]),
+            move |s| snoop_or_rsp(s, H2DReqType::SnpInv),
         ),
-        Conjunct::new(
+        host_implies(
             "host_md_data_pending",
             Family::HostTransient,
             "HCache.State = MD ⟹ the owner's forwarded data is still in flight",
-            pred(move |s| s.host.state != HState::MD || data_pending(s)),
+            HStates::of(&[HState::MD]),
+            data_pending,
         ),
-        Conjunct::new(
+        host_implies(
             "host_sd_sa_no_owner",
             Family::HostTransient,
             "HCache.State ∈ {SD, SA} ⟹ no device owns the line (the owner has already \
              downgraded)",
-            pred(move |s| {
-                !matches!(s.host.state, HState::SD | HState::SA)
-                    || s.device_ids().all(|d| !s.tracked_owner(d))
-            }),
+            HStates::of(&[HState::SD, HState::SA]),
+            |s| s.device_ids().all(|d| !s.tracked_owner(d)),
         ),
-        Conjunct::new(
+        host_implies(
             "host_sd_data_pending",
             Family::HostTransient,
             "HCache.State = SD ⟹ the owner's forwarded data is still in flight",
-            pred(move |s| s.host.state != HState::SD || data_pending(s)),
+            HStates::of(&[HState::SD]),
+            data_pending,
         ),
     ]
 }

@@ -4,7 +4,7 @@
 
 #![allow(clippy::nonminimal_bool)] // `!(hyp ∧ bad)` mirrors the paper's implications
 
-use super::{Conjunct, Family, Predicate};
+use super::{Conjunct, DStates, Family, Guard, Occupancy, Predicate};
 use crate::cacheline::DState;
 use crate::config::ProtocolConfig;
 use crate::ids::{DeviceId, Topology};
@@ -67,9 +67,12 @@ pub(super) fn honest_snoop_conjuncts(
                             !(matches!(s.dev(i).d2h_rsp.head(), Some(r) if r.ty == ty)
                                 && s.dev(i).cache.state == b)
                         }),
-                    ));
+                    )
+                    .guarded(Guard::device(i, DStates::of(&[b]), Occupancy::D2H_RSP)));
                 }
             } else {
+                let guard =
+                    Guard::device(i, DStates::of(&allowed).complement(), Occupancy::D2H_RSP);
                 let allowed_txt = allowed
                     .iter()
                     .map(ToString::to_string)
@@ -88,7 +91,8 @@ pub(super) fn honest_snoop_conjuncts(
                             _ => true,
                         }
                     }),
-                ));
+                )
+                .guarded(guard));
             }
         }
     }
@@ -101,23 +105,26 @@ pub(super) fn honest_snoop_conjuncts(
 /// channel per device (6·N total).
 pub(super) fn channel_singleton_conjuncts(topo: Topology) -> Vec<Conjunct> {
     type Len = fn(&SystemState, DeviceId) -> usize;
-    let channels: [(&str, Len); 6] = [
-        ("d2h_req", |s, d| s.dev(d).d2h_req.len()),
-        ("d2h_rsp", |s, d| s.dev(d).d2h_rsp.len()),
-        ("d2h_data", |s, d| s.dev(d).d2h_data.len()),
-        ("h2d_req", |s, d| s.dev(d).h2d_req.len()),
-        ("h2d_rsp", |s, d| s.dev(d).h2d_rsp.len()),
-        ("h2d_data", |s, d| s.dev(d).h2d_data.len()),
+    let channels: [(&str, Occupancy, Len); 6] = [
+        ("d2h_req", Occupancy::D2H_REQ, |s, d| s.dev(d).d2h_req.len()),
+        ("d2h_rsp", Occupancy::D2H_RSP, |s, d| s.dev(d).d2h_rsp.len()),
+        ("d2h_data", Occupancy::D2H_DATA, |s, d| s.dev(d).d2h_data.len()),
+        ("h2d_req", Occupancy::H2D_REQ, |s, d| s.dev(d).h2d_req.len()),
+        ("h2d_rsp", Occupancy::H2D_RSP, |s, d| s.dev(d).h2d_rsp.len()),
+        ("h2d_data", Occupancy::H2D_DATA, |s, d| s.dev(d).h2d_data.len()),
     ];
     let mut out = Vec::new();
     for i in topo.devices() {
-        for (name, len) in channels {
-            out.push(Conjunct::new(
-                format!("singleton_{name}_{i}"),
-                Family::ChannelSingleton,
-                format!("paper §6: length({name}{i}) ⩽ 1"),
-                pred(move |s| len(s, i) <= 1),
-            ));
+        for (name, channel, len) in channels {
+            out.push(
+                Conjunct::new(
+                    format!("singleton_{name}_{i}"),
+                    Family::ChannelSingleton,
+                    format!("paper §6: length({name}{i}) ⩽ 1"),
+                    pred(move |s| len(s, i) <= 1),
+                )
+                .guarded(Guard::device(i, DStates::ALL, channel)),
+            );
         }
     }
     out
@@ -154,6 +161,11 @@ pub(super) fn data_conflict_conjuncts(cfg: &ProtocolConfig, topo: Topology) -> V
                     !(live_d2h && live_h2d)
                 }),
             )
+            .guarded(Guard::device(
+                j,
+                DStates::of(&[DState::ISDI]).complement(),
+                Occupancy::H2D_DATA,
+            ))
         })
         .collect()
 }
@@ -185,6 +197,8 @@ pub(super) fn go_wellformed_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunc
             ];
             for (label, ty, granted) in kinds {
                 let allowed = go_target_states(ty, granted);
+                let guard =
+                    Guard::device(i, DStates::of(&allowed).complement(), Occupancy::H2D_RSP);
                 out.push(Conjunct::new(
                     format!("go_wf_{label}_{i}"),
                     Family::GoWellformed,
@@ -198,14 +212,16 @@ pub(super) fn go_wellformed_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunc
                         }
                         _ => true,
                     }),
-                ));
+                )
+                .guarded(guard));
             }
             out.push(Conjunct::new(
                 format!("go_wf_grants_stable_{i}"),
                 Family::GoWellformed,
                 format!("every H2DRsp{i} carries a stable DState (paper §3.2)"),
                 pred(move |s| s.dev(i).h2d_rsp.iter().all(|r| r.state.is_stable())),
-            ));
+            )
+            .guarded(Guard::device(i, DStates::ALL, Occupancy::H2D_RSP)));
         } else {
             out.push(Conjunct::new(
                 format!("go_wf_{i}"),
@@ -221,7 +237,8 @@ pub(super) fn go_wellformed_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunc
                     }
                     None => true,
                 }),
-            ));
+            )
+            .guarded(Guard::device(i, DStates::ALL, Occupancy::H2D_RSP)));
         }
     }
     out
@@ -254,7 +271,8 @@ pub(super) fn data_wellformed_conjuncts(topo: Topology) -> Vec<Conjunct> {
             pred(move |s| {
                 s.dev(i).h2d_data.is_empty() || DATA_AWAITING.contains(&s.dev(i).cache.state)
             }),
-        ));
+        )
+        .guarded(Guard::device(i, DStates::of(&DATA_AWAITING).complement(), Occupancy::H2D_DATA)));
         out.push(Conjunct::new(
             format!("rsp_excludes_grant_data_{i}"),
             Family::GoWellformed,
@@ -267,7 +285,12 @@ pub(super) fn data_wellformed_conjuncts(topo: Topology) -> Vec<Conjunct> {
                     || s.dev(i).h2d_data.is_empty()
                     || s.dev(i).cache.state == DState::ISDI
             }),
-        ));
+        )
+        .guarded(Guard::device(
+            i,
+            DStates::of(&[DState::ISDI]).complement(),
+            Occupancy::D2H_RSP | Occupancy::H2D_DATA,
+        )));
         out.push(Conjunct::new(
             format!("evict_go_excludes_snoop_{i}"),
             Family::GoWellformed,
@@ -281,7 +304,8 @@ pub(super) fn data_wellformed_conjuncts(topo: Topology) -> Vec<Conjunct> {
                 });
                 !evict_go || s.dev(i).h2d_req.is_empty()
             }),
-        ));
+        )
+        .guarded(Guard::device(i, DStates::ALL, Occupancy::H2D_RSP | Occupancy::H2D_REQ)));
     }
     out
 }
@@ -319,7 +343,8 @@ pub(super) fn snoop_target_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunct
                         !(matches!(s.dev(i).h2d_req.head(), Some(r) if r.ty == H2DReqType::SnpInv)
                             && s.dev(i).cache.state == b)
                     }),
-                ));
+                )
+                .guarded(Guard::device(i, DStates::of(&[b]), Occupancy::H2D_REQ)));
             }
             for b in DState::ALL {
                 if SNP_DATA_ALLOWED.contains(&b) {
@@ -333,7 +358,8 @@ pub(super) fn snoop_target_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunct
                         !(matches!(s.dev(i).h2d_req.head(), Some(r) if r.ty == H2DReqType::SnpData)
                             && s.dev(i).cache.state == b)
                     }),
-                ));
+                )
+                .guarded(Guard::device(i, DStates::of(&[b]), Occupancy::H2D_REQ)));
             }
         } else {
             out.push(Conjunct::new(
@@ -347,7 +373,8 @@ pub(super) fn snoop_target_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunct
                     !(matches!(s.dev(i).h2d_req.head(), Some(r) if r.ty == H2DReqType::SnpInv)
                         && SNP_INV_FORBIDDEN.contains(&s.dev(i).cache.state))
                 }),
-            ));
+            )
+            .guarded(Guard::device(i, DStates::of(&SNP_INV_FORBIDDEN), Occupancy::H2D_REQ)));
             out.push(Conjunct::new(
                 format!("snp_data_target_{i}"),
                 Family::SnoopTarget,
@@ -356,7 +383,12 @@ pub(super) fn snoop_target_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunct
                     !(matches!(s.dev(i).h2d_req.head(), Some(r) if r.ty == H2DReqType::SnpData)
                         && !SNP_DATA_ALLOWED.contains(&s.dev(i).cache.state))
                 }),
-            ));
+            )
+            .guarded(Guard::device(
+                i,
+                DStates::of(&SNP_DATA_ALLOWED).complement(),
+                Occupancy::H2D_REQ,
+            )));
         }
     }
     out
@@ -367,34 +399,40 @@ pub(super) fn snoop_target_conjuncts(topo: Topology, fine: bool) -> Vec<Conjunct
 /// buffers.
 pub(super) fn counter_dominance_conjuncts(topo: Topology) -> Vec<Conjunct> {
     type MaxTid = fn(&SystemState, DeviceId) -> Option<u64>;
-    let channels: [(&str, MaxTid); 6] = [
-        ("d2h_req", |s, d| s.dev(d).d2h_req.iter().map(|m| m.tid).max()),
-        ("d2h_rsp", |s, d| s.dev(d).d2h_rsp.iter().map(|m| m.tid).max()),
-        ("d2h_data", |s, d| s.dev(d).d2h_data.iter().map(|m| m.tid).max()),
-        ("h2d_req", |s, d| s.dev(d).h2d_req.iter().map(|m| m.tid).max()),
-        ("h2d_rsp", |s, d| s.dev(d).h2d_rsp.iter().map(|m| m.tid).max()),
-        ("h2d_data", |s, d| s.dev(d).h2d_data.iter().map(|m| m.tid).max()),
+    let channels: [(&str, Occupancy, MaxTid); 6] = [
+        ("d2h_req", Occupancy::D2H_REQ, |s, d| s.dev(d).d2h_req.iter().map(|m| m.tid).max()),
+        ("d2h_rsp", Occupancy::D2H_RSP, |s, d| s.dev(d).d2h_rsp.iter().map(|m| m.tid).max()),
+        ("d2h_data", Occupancy::D2H_DATA, |s, d| s.dev(d).d2h_data.iter().map(|m| m.tid).max()),
+        ("h2d_req", Occupancy::H2D_REQ, |s, d| s.dev(d).h2d_req.iter().map(|m| m.tid).max()),
+        ("h2d_rsp", Occupancy::H2D_RSP, |s, d| s.dev(d).h2d_rsp.iter().map(|m| m.tid).max()),
+        ("h2d_data", Occupancy::H2D_DATA, |s, d| s.dev(d).h2d_data.iter().map(|m| m.tid).max()),
     ];
     let mut out = Vec::new();
     for i in topo.devices() {
-        for (name, max_tid) in channels {
-            out.push(Conjunct::new(
-                format!("tid_dom_{name}_{i}"),
-                Family::CounterDominance,
-                format!("every tid in {name}{i} is below Counter"),
-                pred(move |s| max_tid(s, i).is_none_or(|t| t < s.counter)),
-            ));
+        for (name, channel, max_tid) in channels {
+            out.push(
+                Conjunct::new(
+                    format!("tid_dom_{name}_{i}"),
+                    Family::CounterDominance,
+                    format!("every tid in {name}{i} is below Counter"),
+                    pred(move |s| max_tid(s, i).is_none_or(|t| t < s.counter)),
+                )
+                .guarded(Guard::device(i, DStates::ALL, channel)),
+            );
         }
-        out.push(Conjunct::new(
-            format!("tid_dom_buffer_{i}"),
-            Family::CounterDominance,
-            format!("the tid buffered in DBuffer{i} is below Counter"),
-            pred(move |s| match s.dev(i).buffer {
-                DBufferSlot::Empty => true,
-                DBufferSlot::Rsp(r) => r.tid < s.counter,
-                DBufferSlot::Req(r) => r.tid < s.counter,
-            }),
-        ));
+        out.push(
+            Conjunct::new(
+                format!("tid_dom_buffer_{i}"),
+                Family::CounterDominance,
+                format!("the tid buffered in DBuffer{i} is below Counter"),
+                pred(move |s| match s.dev(i).buffer {
+                    DBufferSlot::Empty => true,
+                    DBufferSlot::Rsp(r) => r.tid < s.counter,
+                    DBufferSlot::Req(r) => r.tid < s.counter,
+                }),
+            )
+            .guarded(Guard::device(i, DStates::ALL, Occupancy::BUFFER)),
+        );
     }
     out
 }

@@ -8,6 +8,8 @@
 //! - [`Conjunct`] — one named, documented predicate over [`SystemState`];
 //! - [`Invariant`] — a conjunction with *per-conjunct* evaluation, which is
 //!   what the obligation matrix (the `cxl-sketch` crate) needs;
+//! - [`Guard`] — where a conjunct can fail, which lets [`Invariant::holds`]
+//!   evaluate only the conjuncts a state can falsify;
 //! - builders assembling the conjunct families: [`Invariant::for_config`]
 //!   (one conjunct per logical property) and [`Invariant::fine_grained`]
 //!   (each property split into per-state atoms, mirroring the paper's
@@ -22,13 +24,17 @@
 //! the model grew (§7.1).
 
 mod agreement;
+mod guard;
 mod messages;
 mod swmr_family;
+
+pub use guard::{DStates, Guard, HStates, Occupancy};
 
 use crate::cacheline::DState;
 use crate::config::ProtocolConfig;
 use crate::ids::Topology;
 use crate::state::SystemState;
+use guard::GuardTable;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -131,6 +137,15 @@ pub type Predicate = Arc<dyn Fn(&SystemState) -> bool + Send + Sync>;
 
 /// One conjunct of the inductive invariant: a named predicate over system
 /// states (paper §6: "the invariant is made up of 796 conjuncts").
+///
+/// Every conjunct carries a [`Guard`], and the contract is that the
+/// conjunct may fail only on states its guard admits: [`Invariant`]
+/// evaluates a conjunct only where its guard admits the state, so a
+/// guard that is too narrow would hide violations. The conjunct families
+/// derive each guard from the same constants their predicates read. A
+/// new family must bring a guard and a soundness case in
+/// `tests/invariant_guards.rs`; a conjunct built with [`Conjunct::new`]
+/// is unguarded ([`Guard::Always`]) and evaluated on every state.
 #[derive(Clone)]
 pub struct Conjunct {
     id: usize,
@@ -138,10 +153,12 @@ pub struct Conjunct {
     family: Family,
     doc: String,
     pred: Predicate,
+    guard: Guard,
 }
 
 impl Conjunct {
-    /// Construct a conjunct. Ids are assigned by [`Invariant`] builders.
+    /// Construct an unguarded conjunct. Ids are assigned when an
+    /// [`Invariant`] is built from it.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
@@ -149,7 +166,25 @@ impl Conjunct {
         doc: impl Into<String>,
         pred: Predicate,
     ) -> Self {
-        Conjunct { id: usize::MAX, name: name.into(), family, doc: doc.into(), pred }
+        Conjunct {
+            id: usize::MAX,
+            name: name.into(),
+            family,
+            doc: doc.into(),
+            pred,
+            guard: Guard::Always,
+        }
+    }
+
+    /// The same conjunct, claimed to fail only inside `guard`.
+    fn guarded(self, guard: Guard) -> Self {
+        Conjunct { guard, ..self }
+    }
+
+    /// Where this conjunct can fail.
+    #[must_use]
+    pub fn guard(&self) -> Guard {
+        self.guard
     }
 
     /// Index of this conjunct within its invariant (its row in the
@@ -190,6 +225,7 @@ impl fmt::Debug for Conjunct {
             .field("id", &self.id)
             .field("name", &self.name)
             .field("family", &self.family)
+            .field("guard", &self.guard)
             .finish_non_exhaustive()
     }
 }
@@ -213,6 +249,15 @@ pub enum Granularity {
 
 /// A conjunction of [`Conjunct`]s with per-conjunct evaluation.
 ///
+/// Construction files every conjunct id under its [`Guard`] in one flat
+/// table. [`Invariant::holds`], [`Invariant::first_violation`] and
+/// [`Invariant::violations`] then evaluate only the conjuncts whose
+/// guards admit the state, which are the ones its N cache states,
+/// channel occupancy and host state select. Once one of those fails,
+/// the latter two fall back to the full in-order scan, so they report
+/// exactly what scanning every conjunct in id order reports. That
+/// equivalence rests on the guard contract (see [`Conjunct`]).
+///
 /// # Examples
 ///
 /// ```
@@ -232,6 +277,8 @@ pub struct Invariant {
     /// check the extra devices (its pair conjuncts only index devices
     /// 0 and 1), which is a soundness hole, not a recoverable condition.
     devices: Option<usize>,
+    /// The conjunct ids filed by guard.
+    table: GuardTable,
 }
 
 impl Invariant {
@@ -243,7 +290,8 @@ impl Invariant {
         for (i, c) in conjuncts.iter_mut().enumerate() {
             c.id = i;
         }
-        Invariant { conjuncts, granularity, devices: None }
+        let table = GuardTable::build(&conjuncts);
+        Invariant { conjuncts, granularity, devices: None, table }
     }
 
     /// Assert that `s` inhabits the topology this invariant was built
@@ -305,22 +353,27 @@ impl Invariant {
 
     fn build(cfg: &ProtocolConfig, granularity: Granularity, topo: Topology) -> Self {
         let fine = granularity == Granularity::Fine;
-        let mut cs = Vec::new();
-        cs.extend(swmr_family::swmr_conjuncts(topo));
-        cs.extend(swmr_family::transient_swmr_conjuncts(topo, fine));
-        cs.extend(swmr_family::data_value_conjuncts(topo));
-        cs.extend(messages::honest_snoop_conjuncts(cfg, topo, fine));
-        cs.extend(messages::channel_singleton_conjuncts(topo));
-        cs.extend(messages::data_conflict_conjuncts(cfg, topo));
-        cs.extend(messages::go_wellformed_conjuncts(topo, fine));
-        cs.extend(messages::data_wellformed_conjuncts(topo));
-        cs.extend(messages::snoop_target_conjuncts(topo, fine));
-        cs.extend(messages::counter_dominance_conjuncts(topo));
-        cs.extend(agreement::evict_consistency_conjuncts(cfg, topo, fine));
-        cs.extend(agreement::program_agreement_conjuncts(topo, fine));
-        cs.extend(agreement::host_agreement_conjuncts(topo));
-        cs.extend(agreement::blocked_host_conjuncts());
-        cs.extend(agreement::host_transient_conjuncts(fine));
+        let families = [
+            swmr_family::swmr_conjuncts(topo),
+            swmr_family::transient_swmr_conjuncts(topo, fine),
+            swmr_family::data_value_conjuncts(topo),
+            messages::honest_snoop_conjuncts(cfg, topo, fine),
+            messages::channel_singleton_conjuncts(topo),
+            messages::data_conflict_conjuncts(cfg, topo),
+            messages::go_wellformed_conjuncts(topo, fine),
+            messages::data_wellformed_conjuncts(topo),
+            messages::snoop_target_conjuncts(topo, fine),
+            messages::counter_dominance_conjuncts(topo),
+            agreement::evict_consistency_conjuncts(cfg, topo, fine),
+            agreement::program_agreement_conjuncts(topo, fine),
+            agreement::host_agreement_conjuncts(topo),
+            agreement::blocked_host_conjuncts(),
+            agreement::host_transient_conjuncts(fine),
+        ];
+        let mut cs = Vec::with_capacity(families.iter().map(Vec::len).sum());
+        for family in families {
+            cs.extend(family);
+        }
         let mut inv = Self::from_conjuncts(cs, granularity);
         inv.devices = Some(topo.device_count());
         inv
@@ -371,27 +424,39 @@ impl Invariant {
     #[must_use]
     pub fn holds(&self, s: &SystemState) -> bool {
         self.assert_same_topology(s);
-        self.conjuncts.iter().all(|c| c.holds(s))
+        self.guarded_holds(s)
     }
 
-    /// The first violated conjunct, if any.
+    /// The first violated conjunct in id order, if any.
     ///
     /// # Panics
     /// Panics on a device-count mismatch (see [`Invariant::holds`]).
     #[must_use]
     pub fn first_violation(&self, s: &SystemState) -> Option<&Conjunct> {
         self.assert_same_topology(s);
+        if self.guarded_holds(s) {
+            return None;
+        }
         self.conjuncts.iter().find(|c| !c.holds(s))
     }
 
-    /// Every violated conjunct.
+    /// Every violated conjunct, in id order.
     ///
     /// # Panics
     /// Panics on a device-count mismatch (see [`Invariant::holds`]).
     #[must_use]
     pub fn violations(&self, s: &SystemState) -> Vec<&Conjunct> {
         self.assert_same_topology(s);
+        if self.guarded_holds(s) {
+            return Vec::new();
+        }
         self.conjuncts.iter().filter(|c| !c.holds(s)).collect()
+    }
+
+    /// Do the conjuncts whose guards admit `s` hold? By the guard
+    /// contract, that is whether every conjunct holds.
+    fn guarded_holds(&self, s: &SystemState) -> bool {
+        self.table.all_admitted(s, |id| self.conjuncts[id].holds(s))
     }
 
     /// Conjuncts of one family.

@@ -7,7 +7,7 @@
 
 #![allow(clippy::nonminimal_bool)] // `!(hyp ∧ bad)` mirrors the paper's implications
 
-use super::{Conjunct, Family, Predicate};
+use super::{Conjunct, DStates, Family, Guard, Occupancy, Predicate};
 use crate::cacheline::{DState, HState};
 use crate::ids::{DeviceId, Topology};
 use crate::msg::H2DReqType;
@@ -33,6 +33,7 @@ pub(super) fn swmr_conjuncts(topo: Topology) -> Vec<Conjunct> {
                         && matches!(s.dev(j).cache.state, DState::S | DState::M))
                 }),
             )
+            .guarded(Guard::device(i, DStates::of(&[DState::M]), Occupancy::NONE))
         })
         .collect()
 }
@@ -43,12 +44,20 @@ pub(super) fn swmr_conjuncts(topo: Topology) -> Vec<Conjunct> {
 /// H2DRsp1 ≠ []"; we additionally cover the data-first states `IMA`/`SMA`,
 /// whose GO may equally be in flight).
 fn granted_m(s: &SystemState, i: DeviceId) -> bool {
-    match s.dev(i).cache.state {
-        DState::IMD | DState::SMD => true,
-        DState::IMAD | DState::SMAD | DState::IMA | DState::SMA => !s.dev(i).h2d_rsp.is_empty(),
-        _ => false,
-    }
+    let dev = s.dev(i);
+    GRANTED.contains(dev.cache.state)
+        || (GRANTED_ONCE_GO.contains(dev.cache.state) && !dev.h2d_rsp.is_empty())
 }
+
+/// States in which a device has consumed its GO-M.
+const GRANTED: DStates = DStates::of(&[DState::IMD, DState::SMD]);
+
+/// States in which a device's GO-M may still be in flight.
+const GRANTED_ONCE_GO: DStates =
+    DStates::of(&[DState::IMAD, DState::SMAD, DState::IMA, DState::SMA]);
+
+/// Peer states whose pending GO the transient-SWMR conjunct forbids.
+const GO_PENDING: [DState; 3] = [DState::ISAD, DState::IMAD, DState::SMAD];
 
 /// Is an invalidating snoop on its way to device `j` (the carve-out of the
 /// paper's transient-SWMR conjunct: "unless a SnpInv is on its way to
@@ -98,7 +107,8 @@ pub(super) fn transient_swmr_conjuncts(topo: Topology, fine: bool) -> Vec<Conjun
                             && !snp_inv_inbound(s, j)
                             && s.dev(j).cache.state == b)
                     }),
-                ));
+                )
+                .guarded(Guard::device(j, DStates::of(&[b]), Occupancy::NONE)));
             }
             out.push(Conjunct::new(
                 format!("transient_swmr_{i}_{j}_no_data"),
@@ -113,7 +123,12 @@ pub(super) fn transient_swmr_conjuncts(topo: Topology, fine: bool) -> Vec<Conjun
                         && !s.dev(j).h2d_data.is_empty()
                         && s.dev(j).cache.state != DState::ISDI)
                 }),
-            ));
+            )
+            .guarded(Guard::device(
+                j,
+                DStates::of(&[DState::ISDI]).complement(),
+                Occupancy::H2D_DATA,
+            )));
             out.push(Conjunct::new(
                 format!("transient_swmr_{i}_{j}_no_pending_go"),
                 Family::TransientSwmr,
@@ -124,13 +139,11 @@ pub(super) fn transient_swmr_conjuncts(topo: Topology, fine: bool) -> Vec<Conjun
                 pred(move |s| {
                     !(granted_m(s, i)
                         && !snp_inv_inbound(s, j)
-                        && matches!(
-                            s.dev(j).cache.state,
-                            DState::ISAD | DState::IMAD | DState::SMAD
-                        )
+                        && GO_PENDING.contains(&s.dev(j).cache.state)
                         && !s.dev(j).h2d_rsp.is_empty())
                 }),
-            ));
+            )
+            .guarded(Guard::device(j, DStates::of(&GO_PENDING), Occupancy::H2D_RSP)));
         } else {
             out.push(Conjunct::new(
                 format!("transient_swmr_{i}_{j}"),
@@ -147,12 +160,10 @@ pub(super) fn transient_swmr_conjuncts(topo: Topology, fine: bool) -> Vec<Conjun
                     let dj = s.dev(j);
                     !FORBIDDEN_WHILE_GRANTED.contains(&dj.cache.state)
                         && (dj.h2d_data.is_empty() || dj.cache.state == DState::ISDI)
-                        && (!matches!(
-                            dj.cache.state,
-                            DState::ISAD | DState::IMAD | DState::SMAD
-                        ) || dj.h2d_rsp.is_empty())
+                        && (!GO_PENDING.contains(&dj.cache.state) || dj.h2d_rsp.is_empty())
                 }),
-            ));
+            )
+            .guarded(Guard::device(i, GRANTED.union(GRANTED_ONCE_GO), Occupancy::NONE)));
         }
     }
     out
@@ -177,6 +188,7 @@ pub(super) fn data_value_conjuncts(topo: Topology) -> Vec<Conjunct> {
                         && s.dev(i).cache.val != s.host.val)
                 }),
             )
+            .guarded(Guard::device(i, DStates::of(&[DState::S]), Occupancy::NONE))
         })
         .collect()
 }

@@ -758,6 +758,7 @@ impl ModelChecker {
             // Inactive under a reducer: canonicalization rewrites successor
             // bytes, so the fired state is not the stored representative.
             ring: Ring::new(if reducer.is_none() { self.opts.frontier_ring } else { 0 }),
+            scratch: codec.blank(),
             flight: Flight { ring: FlightRing::new(self.opts.flight_events), recorder },
             clock: PhaseClock::new(recorder.is_some()),
         };
@@ -790,7 +791,10 @@ impl ModelChecker {
                 s.store.insert(StateCodec::fingerprint(&enc_scratch), &enc_scratch, None);
                 s.parents.push(None);
                 s.succ_counts.push(NOT_EXPANDED);
-                self.check_state(0, &s.store, &s.parents, props, &mut s.report);
+                if !props.is_empty() {
+                    s.store.decode_into(0, &mut s.scratch);
+                    self.check_state(0, &s.scratch, &s.store, &s.parents, props, &mut s.report);
+                }
             }
             Start::Resume(cp) => {
                 // Re-enter the loop at the checkpoint's level boundary:
@@ -1082,8 +1086,22 @@ impl ModelChecker {
                         }
                     }
                     _ => {
-                        for &id in &s.new_indices {
-                            self.check_state(id, &s.store, &s.parents, props, &mut s.report);
+                        for (k, &id) in s.new_indices.iter().enumerate() {
+                            // The ring still holds this level's stored
+                            // states decoded (it rotates only at level
+                            // end): `next[k]` is the k-th. Past its
+                            // prefix, decode into the reused scratch.
+                            let st: &SystemState = match s.ring.next.get(k) {
+                                Some(st) => {
+                                    debug_assert!(**st == s.store.decode(id), "ring out of step");
+                                    st
+                                }
+                                None => {
+                                    s.store.decode_into(id, &mut s.scratch);
+                                    &s.scratch
+                                }
+                            };
+                            self.check_state(id, st, &s.store, &s.parents, props, &mut s.report);
                             if self.violation_cap(&s.report) {
                                 stop_violations = true;
                                 break;
@@ -1284,8 +1302,9 @@ impl ModelChecker {
                 return false;
             }
             s.transient.push_encoded(encoded);
-            let succ = s.transient.decode(s.transient.len() - 1);
-            self.check_transient(parent, rule, &succ, &s.store, &s.parents, props, &mut s.report);
+            s.transient.decode_into(s.transient.len() - 1, &mut s.scratch);
+            let (store, parents) = (&s.store, &s.parents);
+            self.check_transient(parent, rule, &s.scratch, store, parents, props, &mut s.report);
             return self.violation_cap(&s.report);
         }
         let Some(gid) = s.store.insert(fp, encoded, Some(parent)) else {
@@ -1443,20 +1462,18 @@ impl ModelChecker {
         }
     }
 
+    /// Property-check stored state `id`, whose decoded form is `st`.
     fn check_state(
         &self,
         id: usize,
+        st: &SystemState,
         store: &impl StateStore,
         parents: &[Option<(usize, RuleId)>],
         props: &[&dyn Property],
         report: &mut Report,
     ) {
-        if props.is_empty() {
-            return;
-        }
-        let st = store.decode(id);
         for p in props {
-            let outcome = p.check(&st);
+            let outcome = p.check(st);
             if let crate::property::PropertyOutcome::Violated(detail) = outcome {
                 report.violations.push(Violation {
                     property: p.name().to_string(),
@@ -1775,6 +1792,8 @@ struct Search<'r> {
     shed_done: bool,
     /// The decoded-frontier ring, filled and read by fused inline levels.
     ring: Ring,
+    /// The reused decoded form of a state being property-checked.
+    scratch: SystemState,
     flight: Flight<'r>,
     clock: PhaseClock,
 }
