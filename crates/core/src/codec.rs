@@ -61,7 +61,33 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-type DecodeResult<T> = Result<T, CodecError>;
+/// Lets public entry points `?` the boxed errors of the internal parse
+/// steps.
+impl From<Box<CodecError>> for CodecError {
+    fn from(e: Box<CodecError>) -> Self {
+        *e
+    }
+}
+
+/// What every internal parse step returns. The error is boxed because a
+/// `Result<u64, CodecError>` is 24 bytes: it comes back through memory,
+/// and every `?` in the parse tree moves it again. Boxed, the result of
+/// reading a byte or a varint is two words and returns in registers; the
+/// allocation happens only on the (cold) error path. Public functions
+/// keep returning [`CodecError`] and unbox at the boundary.
+type ParseResult<T> = Result<T, Box<CodecError>>;
+
+// A wider error must fail the build, not silently double the cost of
+// every read on the decode, canonicalization and delta paths.
+const _: () = assert!(std::mem::size_of::<ParseResult<u64>>() <= 16);
+
+/// Build a parse error. Kept out of line so the formatting code stays off
+/// the hot path of every caller.
+#[cold]
+#[inline(never)]
+fn parse_error(msg: fmt::Arguments<'_>) -> Box<CodecError> {
+    Box::new(CodecError(fmt::format(msg)))
+}
 
 // ---------------------------------------------------------------------
 // Varint primitives (LEB128; zigzag for signed values).
@@ -97,22 +123,36 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
-    fn byte(&mut self) -> DecodeResult<u8> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| CodecError(format!("truncated at byte {}", self.pos)))?;
+    #[inline]
+    fn byte(&mut self) -> ParseResult<u8> {
+        let Some(&b) = self.bytes.get(self.pos) else {
+            return Err(parse_error(format_args!("truncated at byte {}", self.pos)));
+        };
         self.pos += 1;
         Ok(b)
     }
 
-    fn varint(&mut self) -> DecodeResult<u64> {
+    #[inline]
+    fn varint(&mut self) -> ParseResult<u64> {
+        // Nearly every varint the model mints fits one byte.
+        match self.bytes.get(self.pos) {
+            Some(&b) if b & 0x80 == 0 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.long_varint(),
+        }
+    }
+
+    /// [`Self::varint`] past its one-byte case: multi-byte, truncated or
+    /// overlong.
+    fn long_varint(&mut self) -> ParseResult<u64> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.byte()?;
             if shift >= 64 {
-                return Err(CodecError("varint overflows u64".into()));
+                return Err(parse_error(format_args!("varint overflows u64")));
             }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
@@ -122,7 +162,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn signed(&mut self) -> DecodeResult<i64> {
+    #[inline]
+    fn signed(&mut self) -> ParseResult<i64> {
         let z = self.varint()?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
@@ -131,12 +172,30 @@ impl<'a> Reader<'a> {
         self.pos == self.bytes.len()
     }
 
-    fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        let end = self
+    /// Refuse bytes left after a complete `what`.
+    #[inline]
+    fn finish(&self, what: &str) -> ParseResult<()> {
+        if self.finished() {
+            return Ok(());
+        }
+        Err(parse_error(format_args!(
+            "{} trailing bytes after a complete {what}",
+            self.remaining()
+        )))
+    }
+
+    #[inline]
+    fn take(&mut self, n: usize) -> ParseResult<&'a [u8]> {
+        let Some(end) = self
             .pos
             .checked_add(n)
             .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| CodecError(format!("truncated at byte {} (wanted {n})", self.pos)))?;
+        else {
+            return Err(parse_error(format_args!(
+                "truncated at byte {} (wanted {n})",
+                self.pos
+            )));
+        };
         let slice = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(slice)
@@ -184,18 +243,21 @@ pub mod wire {
         }
 
         /// Read one LEB128 varint.
+        #[inline]
         pub fn varint(&mut self) -> Result<u64, CodecError> {
-            self.inner.varint()
+            Ok(self.inner.varint()?)
         }
 
         /// Read one raw byte.
+        #[inline]
         pub fn byte(&mut self) -> Result<u8, CodecError> {
-            self.inner.byte()
+            Ok(self.inner.byte()?)
         }
 
         /// Read `n` raw bytes.
+        #[inline]
         pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-            self.inner.take(n)
+            Ok(self.inner.take(n)?)
         }
 
         /// Read a length-prefixed byte slice (the inverse of
@@ -205,7 +267,7 @@ pub mod wire {
             let len = self.inner.varint()?;
             let len = usize::try_from(len)
                 .map_err(|_| CodecError(format!("length prefix {len} overflows usize")))?;
-            self.inner.take(len)
+            Ok(self.inner.take(len)?)
         }
 
         /// A varint validated as a collection length: it must be small
@@ -244,18 +306,22 @@ pub mod wire {
 // order, so `variant as u8` indexes back into them.
 // ---------------------------------------------------------------------
 
-fn dstate_from(b: u8) -> DecodeResult<DState> {
-    DState::ALL
-        .get(b as usize)
+/// The variant of an `ALL` table that tag byte `b` names.
+#[inline]
+fn variant<T: Copy>(all: &[T], b: u8, what: &'static str) -> ParseResult<T> {
+    all.get(b as usize)
         .copied()
-        .ok_or_else(|| CodecError(format!("bad DState tag {b}")))
+        .ok_or_else(|| parse_error(format_args!("bad {what} tag {b}")))
 }
 
-fn hstate_from(b: u8) -> DecodeResult<HState> {
-    HState::ALL
-        .get(b as usize)
-        .copied()
-        .ok_or_else(|| CodecError(format!("bad HState tag {b}")))
+#[inline]
+fn dstate_from(b: u8) -> ParseResult<DState> {
+    variant(&DState::ALL, b, "DState")
+}
+
+#[inline]
+fn hstate_from(b: u8) -> ParseResult<HState> {
+    variant(&HState::ALL, b, "HState")
 }
 
 // ---------------------------------------------------------------------
@@ -267,12 +333,8 @@ fn put_d2h_req(out: &mut Vec<u8>, m: &D2HReq) {
     put_varint(out, m.tid);
 }
 
-fn get_d2h_req(r: &mut Reader<'_>) -> DecodeResult<D2HReq> {
-    let ty = r.byte()?;
-    let ty = D2HReqType::ALL
-        .get(ty as usize)
-        .copied()
-        .ok_or_else(|| CodecError(format!("bad D2HReqType tag {ty}")))?;
+fn get_d2h_req(r: &mut Reader<'_>) -> ParseResult<D2HReq> {
+    let ty = variant(&D2HReqType::ALL, r.byte()?, "D2HReqType")?;
     Ok(D2HReq::new(ty, r.varint()?))
 }
 
@@ -281,12 +343,8 @@ fn put_d2h_rsp(out: &mut Vec<u8>, m: &D2HRsp) {
     put_varint(out, m.tid);
 }
 
-fn get_d2h_rsp(r: &mut Reader<'_>) -> DecodeResult<D2HRsp> {
-    let ty = r.byte()?;
-    let ty = D2HRspType::ALL
-        .get(ty as usize)
-        .copied()
-        .ok_or_else(|| CodecError(format!("bad D2HRspType tag {ty}")))?;
+fn get_d2h_rsp(r: &mut Reader<'_>) -> ParseResult<D2HRsp> {
+    let ty = variant(&D2HRspType::ALL, r.byte()?, "D2HRspType")?;
     Ok(D2HRsp::new(ty, r.varint()?))
 }
 
@@ -296,15 +354,20 @@ fn put_data(out: &mut Vec<u8>, m: &DataMsg) {
     put_signed(out, m.val);
 }
 
-fn get_data(r: &mut Reader<'_>) -> DecodeResult<DataMsg> {
-    let bogus = match r.byte()? {
-        0 => false,
-        1 => true,
-        other => return Err(CodecError(format!("bad bogus flag {other}"))),
-    };
+fn get_data(r: &mut Reader<'_>) -> ParseResult<DataMsg> {
+    let bogus = bogus_flag(r.byte()?)?;
     let tid = r.varint()?;
     let val = r.signed()?;
     Ok(DataMsg { tid, val, bogus })
+}
+
+#[inline]
+fn bogus_flag(b: u8) -> ParseResult<bool> {
+    match b {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(parse_error(format_args!("bad bogus flag {other}"))),
+    }
 }
 
 fn put_h2d_req(out: &mut Vec<u8>, m: &H2DReq) {
@@ -312,12 +375,8 @@ fn put_h2d_req(out: &mut Vec<u8>, m: &H2DReq) {
     put_varint(out, m.tid);
 }
 
-fn get_h2d_req(r: &mut Reader<'_>) -> DecodeResult<H2DReq> {
-    let ty = r.byte()?;
-    let ty = H2DReqType::ALL
-        .get(ty as usize)
-        .copied()
-        .ok_or_else(|| CodecError(format!("bad H2DReqType tag {ty}")))?;
+fn get_h2d_req(r: &mut Reader<'_>) -> ParseResult<H2DReq> {
+    let ty = variant(&H2DReqType::ALL, r.byte()?, "H2DReqType")?;
     Ok(H2DReq::new(ty, r.varint()?))
 }
 
@@ -328,12 +387,9 @@ fn put_h2d_rsp(out: &mut Vec<u8>, m: &H2DRsp) {
     put_varint(out, m.tid);
 }
 
-fn get_h2d_rsp(r: &mut Reader<'_>) -> DecodeResult<H2DRsp> {
+fn get_h2d_rsp(r: &mut Reader<'_>) -> ParseResult<H2DRsp> {
     let b = r.byte()?;
-    let ty = H2DRspType::ALL
-        .get((b & 0x03) as usize)
-        .copied()
-        .ok_or_else(|| CodecError(format!("bad H2DRspType tag {}", b & 0x03)))?;
+    let ty = variant(&H2DRspType::ALL, b & 0x03, "H2DRspType")?;
     let state = dstate_from(b >> 2)?;
     Ok(H2DRsp::new(ty, state, r.varint()?))
 }
@@ -348,8 +404,8 @@ fn put_channel<T>(out: &mut Vec<u8>, chan: &Channel<T>, put: impl Fn(&mut Vec<u8
 fn get_channel_into<T>(
     r: &mut Reader<'_>,
     chan: &mut Channel<T>,
-    get: impl Fn(&mut Reader<'_>) -> DecodeResult<T>,
-) -> DecodeResult<()> {
+    get: impl Fn(&mut Reader<'_>) -> ParseResult<T>,
+) -> ParseResult<()> {
     let len = r.varint()?;
     // A ≥ 2-message decode into a channel that is already spilled reuses
     // the spill buffer (clear + push keeps capacity), so repeated decodes
@@ -371,6 +427,18 @@ fn get_channel_into<T>(
     chan.clear();
     for _ in 0..len {
         chan.push(get(r)?);
+    }
+    Ok(())
+}
+
+/// Parse past one channel of messages.
+fn skip_channel<T>(
+    r: &mut Reader<'_>,
+    get: impl Fn(&mut Reader<'_>) -> ParseResult<T>,
+) -> ParseResult<()> {
+    let len = r.varint()?;
+    for _ in 0..len {
+        get(r)?;
     }
     Ok(())
 }
@@ -468,7 +536,14 @@ impl StateCodec {
     ///
     /// # Errors
     /// Returns [`CodecError`] on malformed or trailing bytes.
-    pub fn decode_into(&self, bytes: &[u8], out: &mut SystemState) -> DecodeResult<()> {
+    #[inline]
+    pub fn decode_into(&self, bytes: &[u8], out: &mut SystemState) -> Result<(), CodecError> {
+        Ok(self.decode_state(bytes, out)?)
+    }
+
+    /// [`Self::decode_into`] with the internal error type — the arena's
+    /// decode path.
+    fn decode_state(&self, bytes: &[u8], out: &mut SystemState) -> ParseResult<()> {
         if out.device_count() != self.topology.device_count() {
             *out = self.blank();
         }
@@ -480,20 +555,14 @@ impl StateCodec {
         for i in 0..self.topology.device_count() {
             decode_device(&mut r, &mut out.devs[i])?;
         }
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete state",
-                bytes.len() - r.pos
-            )));
-        }
-        Ok(())
+        r.finish("state")
     }
 
     /// Decode one state into a fresh value.
     ///
     /// # Errors
     /// Returns [`CodecError`] on malformed or trailing bytes.
-    pub fn decode(&self, bytes: &[u8]) -> DecodeResult<SystemState> {
+    pub fn decode(&self, bytes: &[u8]) -> Result<SystemState, CodecError> {
         let mut out = self.blank();
         self.decode_into(bytes, &mut out)?;
         Ok(out)
@@ -528,20 +597,24 @@ impl StateCodec {
     ) -> Result<(), CodecError> {
         let mut r = Reader::new(bytes);
         r.varint()?; // counter
-        hstate_from(r.byte()?)?; // host state
-        r.signed()?; // host value
+        Ok(self.skip_segments(&mut r, bounds)?)
+    }
+
+    /// Parse a full encoding from its host-cache span to the end,
+    /// recording the segment bounds as [`Self::device_segment_bounds`]
+    /// reports them.
+    fn skip_segments(
+        &self,
+        r: &mut Reader<'_>,
+        bounds: &mut [usize; Topology::MAX_DEVICES + 1],
+    ) -> ParseResult<()> {
+        skip_host(r)?;
         bounds[0] = r.pos;
         for i in 0..self.topology.device_count() {
-            skip_device(&mut r)?;
+            skip_device(r)?;
             bounds[i + 1] = r.pos;
         }
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete state",
-                bytes.len() - r.pos
-            )));
-        }
-        Ok(())
+        r.finish("state")
     }
 
     /// Rewrite every **`Val` slot** of one encoded state through `f`,
@@ -571,22 +644,11 @@ impl StateCodec {
     ) -> Result<(), CodecError> {
         out.clear();
         let mut r = Reader::new(bytes);
-        copy_span(&mut r, out, |r| r.varint().map(|_| ()))?; // counter
-        let hs = r.byte()?;
-        hstate_from(hs)?;
-        out.push(hs);
-        let hv = r.signed()?;
-        put_signed(out, f(hv));
+        map_header(&mut r, out, &mut f)?;
         for _ in 0..self.topology.device_count() {
             map_device_vals(&mut r, out, &mut f)?;
         }
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete state",
-                bytes.len() - r.pos
-            )));
-        }
-        Ok(())
+        Ok(r.finish("state")?)
     }
 
     /// Rewrite the `Val` slots of one **device segment** (a
@@ -612,13 +674,7 @@ impl StateCodec {
     ) -> Result<(), CodecError> {
         let mut r = Reader::new(seg);
         map_device_vals(&mut r, out, &mut f)?;
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete device segment",
-                seg.len() - r.pos
-            )));
-        }
-        Ok(())
+        Ok(r.finish("device segment")?)
     }
 
     /// Rewrite the `Val` slot of one **global header** span (the
@@ -634,19 +690,8 @@ impl StateCodec {
         mut f: impl FnMut(crate::ids::Val) -> crate::ids::Val,
     ) -> Result<(), CodecError> {
         let mut r = Reader::new(header);
-        copy_span(&mut r, out, |r| r.varint().map(|_| ()))?; // counter
-        let hs = r.byte()?;
-        hstate_from(hs)?;
-        out.push(hs);
-        let hv = r.signed()?;
-        put_signed(out, f(hv));
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete header",
-                header.len() - r.pos
-            )));
-        }
-        Ok(())
+        map_header(&mut r, out, &mut f)?;
+        Ok(r.finish("header")?)
     }
 
     /// Append the operand of every `Store` instruction remaining in any
@@ -666,18 +711,11 @@ impl StateCodec {
     ) -> Result<(), CodecError> {
         let mut r = Reader::new(bytes);
         r.varint()?; // counter
-        hstate_from(r.byte()?)?;
-        r.signed()?; // host value
+        skip_host(&mut r)?;
         for _ in 0..self.topology.device_count() {
-            collect_device_program_vals(&mut r, out)?;
+            scan_device(&mut r, |v| out.push(v))?;
         }
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete state",
-                bytes.len() - r.pos
-            )));
-        }
-        Ok(())
+        Ok(r.finish("state")?)
     }
 
     /// The 64-bit fingerprint of an *encoded* state: an
@@ -694,32 +732,16 @@ impl StateCodec {
         h.finish()
     }
 
-    /// Parse one encoded state into its delta-relevant spans: the counter
-    /// value, the start of the host-cache span (whose end is `bounds[0]`),
-    /// and the per-device segment bounds — the shared parsing half of
-    /// [`Self::encode_delta`] / [`Self::decode_delta`].
-    fn delta_segments(
-        &self,
-        bytes: &[u8],
-        bounds: &mut [usize; Topology::MAX_DEVICES + 1],
-    ) -> DecodeResult<(u64, usize)> {
+    /// Parse one full encoding's [`Spans`] — the parsing half of
+    /// [`Self::encode_delta`] and [`Self::decode_delta`], and what a delta
+    /// chain pays once, at its keyframe.
+    fn delta_segments(&self, bytes: &[u8]) -> ParseResult<Spans> {
+        let mut spans = Spans::default();
         let mut r = Reader::new(bytes);
-        let counter = r.varint()?;
-        let host_start = r.pos;
-        hstate_from(r.byte()?)?;
-        r.signed()?;
-        bounds[0] = r.pos;
-        for i in 0..self.topology.device_count() {
-            skip_device(&mut r)?;
-            bounds[i + 1] = r.pos;
-        }
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete state",
-                bytes.len() - r.pos
-            )));
-        }
-        Ok((counter, host_start))
+        spans.counter = r.varint()?;
+        spans.host = r.pos;
+        self.skip_segments(&mut r, &mut spans.bounds)?;
+        Ok(spans)
     }
 
     /// Append a **parent-delta encoding** of `child` against `parent`
@@ -746,31 +768,33 @@ impl StateCodec {
         child: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
+        let ps = self.delta_segments(parent)?;
+        Ok(self.encode_delta_from(parent, &ps, child, out)?)
+    }
+
+    /// [`Self::encode_delta`] against a parent whose layout `ps` is
+    /// already known: only `child` is parsed.
+    fn encode_delta_from(
+        &self,
+        parent: &[u8],
+        ps: &Spans,
+        child: &[u8],
+        out: &mut Vec<u8>,
+    ) -> ParseResult<()> {
         let n = self.topology.device_count();
-        let mut pb = [0usize; Topology::MAX_DEVICES + 1];
-        let mut cb = [0usize; Topology::MAX_DEVICES + 1];
-        let (p_counter, p_host) = self.delta_segments(parent, &mut pb)?;
-        let (c_counter, c_host) = self.delta_segments(child, &mut cb)?;
+        let cs = self.delta_segments(child)?;
         let mut bitmap = 0u64;
-        if parent[p_host..pb[0]] != child[c_host..cb[0]] {
-            bitmap |= 1;
-        }
-        for i in 0..n {
-            if parent[pb[i]..pb[i + 1]] != child[cb[i]..cb[i + 1]] {
-                bitmap |= 1 << (i + 1);
+        for j in 0..=n {
+            if parent[ps.segment(j)] != child[cs.segment(j)] {
+                bitmap |= 1 << j;
             }
         }
         put_varint(out, bitmap);
-        put_signed(out, c_counter.wrapping_sub(p_counter) as i64);
-        if bitmap & 1 != 0 {
-            put_varint(out, (cb[0] - c_host) as u64);
-            out.extend_from_slice(&child[c_host..cb[0]]);
-        }
-        for i in 0..n {
-            if bitmap & (1 << (i + 1)) != 0 {
-                put_varint(out, (cb[i + 1] - cb[i]) as u64);
-                out.extend_from_slice(&child[cb[i]..cb[i + 1]]);
-            }
+        put_signed(out, cs.counter.wrapping_sub(ps.counter) as i64);
+        for j in (0..=n).filter(|j| bitmap & (1 << j) != 0) {
+            let seg = &child[cs.segment(j)];
+            put_varint(out, seg.len() as u64);
+            out.extend_from_slice(seg);
         }
         Ok(())
     }
@@ -786,48 +810,110 @@ impl StateCodec {
     ///
     /// # Errors
     /// Returns [`CodecError`] when `parent` is malformed or `delta` is
-    /// truncated, has trailing bytes, or names segments beyond the
-    /// topology.
+    /// truncated, has trailing bytes, names segments beyond the topology,
+    /// or carries a changed segment that does not parse as one.
     pub fn decode_delta(
         &self,
         parent: &[u8],
         delta: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
+        let ps = self.delta_segments(parent)?;
+        self.apply_delta(parent, &ps, delta, out)?;
+        Ok(())
+    }
+
+    /// One link of a delta chain: rebuild the child of `parent` (laid out
+    /// as `ps`) from `delta`, appending its full encoding to `out`, and
+    /// return the child's layout, relative to where it starts in `out`.
+    /// Unchanged segments are copied and their bounds shifted; only the
+    /// segments the delta introduces are parsed, so a chain parses its
+    /// keyframe once and every later byte once.
+    fn apply_delta(
+        &self,
+        parent: &[u8],
+        ps: &Spans,
+        delta: &[u8],
+        out: &mut Vec<u8>,
+    ) -> ParseResult<Spans> {
         let n = self.topology.device_count();
-        let mut pb = [0usize; Topology::MAX_DEVICES + 1];
-        let (p_counter, p_host) = self.delta_segments(parent, &mut pb)?;
+        let start = out.len();
         let mut r = Reader::new(delta);
         let bitmap = r.varint()?;
         if n < 63 && bitmap >> (n + 1) != 0 {
-            return Err(CodecError(format!(
+            return Err(parse_error(format_args!(
                 "delta bitmap {bitmap:#x} names segments beyond {n} devices"
             )));
         }
-        let diff = r.signed()?;
-        put_varint(out, p_counter.wrapping_add(diff as u64));
-        if bitmap & 1 != 0 {
-            let len = r.varint()? as usize;
-            out.extend_from_slice(r.take(len)?);
-        } else {
-            out.extend_from_slice(&parent[p_host..pb[0]]);
-        }
-        for i in 0..n {
-            if bitmap & (1 << (i + 1)) != 0 {
+        let mut cs = Spans {
+            counter: ps.counter.wrapping_add(r.signed()? as u64),
+            ..Spans::default()
+        };
+        put_varint(out, cs.counter);
+        cs.host = out.len() - start;
+        for j in 0..=n {
+            if bitmap & (1 << j) != 0 {
                 let len = r.varint()? as usize;
-                out.extend_from_slice(r.take(len)?);
+                let seg = r.take(len)?;
+                check_segment(j, seg)?;
+                out.extend_from_slice(seg);
             } else {
-                out.extend_from_slice(&parent[pb[i]..pb[i + 1]]);
+                out.extend_from_slice(&parent[ps.segment(j)]);
             }
+            cs.bounds[j] = out.len() - start;
         }
-        if !r.finished() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after a complete delta",
-                delta.len() - r.pos
-            )));
-        }
-        Ok(())
+        r.finish("delta")?;
+        Ok(cs)
     }
+}
+
+/// The delta-relevant layout of one full encoding: its counter value, the
+/// start of its host-cache span, and its segment bounds (`bounds[0]` ends
+/// the host-cache span; device `i` spans `bounds[i]..bounds[i + 1]`, as
+/// [`StateCodec::device_segment_bounds`] reports them).
+#[derive(Clone, Copy, Debug, Default)]
+struct Spans {
+    counter: u64,
+    host: usize,
+    bounds: [usize; Topology::MAX_DEVICES + 1],
+}
+
+impl Spans {
+    /// Byte range of delta segment `j`: 0 the host-cache span, `i + 1`
+    /// device `i`'s segment — the numbering of the delta bitmap.
+    #[inline]
+    fn segment(&self, j: usize) -> std::ops::Range<usize> {
+        let start = if j == 0 {
+            self.host
+        } else {
+            self.bounds[j - 1]
+        };
+        start..self.bounds[j]
+    }
+}
+
+/// Check that `seg` is exactly one delta segment `j` (numbered as in
+/// [`Spans::segment`]): how a delta's introduced bytes are validated
+/// without reparsing the state around them.
+fn check_segment(j: usize, seg: &[u8]) -> ParseResult<()> {
+    fn parse(j: usize, r: &mut Reader<'_>) -> ParseResult<()> {
+        if j == 0 {
+            skip_host(r)?;
+        } else {
+            skip_device(r)?;
+        }
+        r.finish("segment")
+    }
+    parse(j, &mut Reader::new(seg))
+        .map_err(|e| parse_error(format_args!("delta segment {j}: {}", e.0)))
+}
+
+/// Parse past the host-cache span: its state tag and value.
+#[inline]
+fn skip_host(r: &mut Reader<'_>) -> ParseResult<()> {
+    hstate_from(r.byte()?)?;
+    r.signed()?;
+    Ok(())
 }
 
 fn encode_device(dev: &DeviceState, out: &mut Vec<u8>) {
@@ -868,10 +954,19 @@ fn encode_device(dev: &DeviceState, out: &mut Vec<u8>) {
 }
 
 /// Advance the reader past one encoded device without materialising it —
-/// the parsing half of [`StateCodec::device_segment_bounds`]. Mirrors
-/// [`decode_device`] field for field (the messages are `Copy`, so parsing
-/// and discarding them allocates nothing).
-fn skip_device(r: &mut Reader<'_>) -> DecodeResult<()> {
+/// the parsing half of [`StateCodec::device_segment_bounds`] and of the
+/// delta paths.
+#[inline]
+fn skip_device(r: &mut Reader<'_>) -> ParseResult<()> {
+    scan_device(r, |_| {})
+}
+
+/// Parse one encoded device, handing the operand of every `Store` left in
+/// its program to `on_store` — [`skip_device`], and the per-device half
+/// of [`StateCodec::collect_program_vals`]. Mirrors [`decode_device`]
+/// field for field (the messages are `Copy`, so parsing and discarding
+/// them allocates nothing).
+fn scan_device(r: &mut Reader<'_>, mut on_store: impl FnMut(crate::ids::Val)) -> ParseResult<()> {
     let header = r.byte()?;
     let quiet = header & QUIET_BIT != 0;
     let buf_tag = (header >> 5) & 0x03;
@@ -885,7 +980,7 @@ fn skip_device(r: &mut Reader<'_>) -> DecodeResult<()> {
         BUF_REQ => {
             get_h2d_req(r)?;
         }
-        other => return Err(CodecError(format!("bad buffer tag {other}"))),
+        other => return Err(bad_buffer_tag(other)),
     }
     if quiet {
         return Ok(());
@@ -894,21 +989,9 @@ fn skip_device(r: &mut Reader<'_>) -> DecodeResult<()> {
     for _ in 0..prog_len {
         match r.byte()? {
             0 | 2 => {}
-            1 => {
-                r.signed()?;
-            }
-            other => return Err(CodecError(format!("bad instruction tag {other}"))),
+            1 => on_store(r.signed()?),
+            other => return Err(bad_instruction_tag(other)),
         }
-    }
-    fn skip_channel<T>(
-        r: &mut Reader<'_>,
-        get: impl Fn(&mut Reader<'_>) -> DecodeResult<T>,
-    ) -> DecodeResult<()> {
-        let len = r.varint()?;
-        for _ in 0..len {
-            get(r)?;
-        }
-        Ok(())
     }
     skip_channel(r, get_d2h_req)?;
     skip_channel(r, get_d2h_rsp)?;
@@ -919,27 +1002,51 @@ fn skip_device(r: &mut Reader<'_>) -> DecodeResult<()> {
     Ok(())
 }
 
+fn bad_buffer_tag(tag: u8) -> Box<CodecError> {
+    parse_error(format_args!("bad buffer tag {tag}"))
+}
+
+fn bad_instruction_tag(tag: u8) -> Box<CodecError> {
+    parse_error(format_args!("bad instruction tag {tag}"))
+}
+
 /// Parse one syntactic element with `parse` and copy its raw bytes to
 /// `out` verbatim — the copy primitive of [`StateCodec::map_vals`].
 fn copy_span(
     r: &mut Reader<'_>,
     out: &mut Vec<u8>,
-    parse: impl FnOnce(&mut Reader<'_>) -> DecodeResult<()>,
-) -> DecodeResult<()> {
+    parse: impl FnOnce(&mut Reader<'_>) -> ParseResult<()>,
+) -> ParseResult<()> {
     let start = r.pos;
     parse(r)?;
     out.extend_from_slice(&r.bytes[start..r.pos]);
     Ok(())
 }
 
+/// The header half of [`StateCodec::map_vals`]: copy the counter and the
+/// host state, rewriting the host value through `f`.
+fn map_header(
+    r: &mut Reader<'_>,
+    out: &mut Vec<u8>,
+    f: &mut impl FnMut(crate::ids::Val) -> crate::ids::Val,
+) -> ParseResult<()> {
+    copy_span(r, out, |r| r.varint().map(|_| ()))?; // counter
+    let hs = r.byte()?;
+    hstate_from(hs)?;
+    out.push(hs);
+    let hv = r.signed()?;
+    put_signed(out, f(hv));
+    Ok(())
+}
+
 /// The per-device half of [`StateCodec::map_vals`]: copy one encoded
 /// device, rewriting its cache value and data-message values through `f`.
-/// Mirrors [`skip_device`] field for field.
+/// Mirrors [`scan_device`] field for field.
 fn map_device_vals(
     r: &mut Reader<'_>,
     out: &mut Vec<u8>,
     f: &mut impl FnMut(crate::ids::Val) -> crate::ids::Val,
-) -> DecodeResult<()> {
+) -> ParseResult<()> {
     let header = r.byte()?;
     let quiet = header & QUIET_BIT != 0;
     let buf_tag = (header >> 5) & 0x03;
@@ -952,7 +1059,7 @@ fn map_device_vals(
         // Buffered H2D responses/requests carry no `Val`: copy verbatim.
         BUF_RSP => copy_span(r, out, |r| get_h2d_rsp(r).map(|_| ()))?,
         BUF_REQ => copy_span(r, out, |r| get_h2d_req(r).map(|_| ()))?,
-        other => return Err(CodecError(format!("bad buffer tag {other}"))),
+        other => return Err(bad_buffer_tag(other)),
     }
     if quiet {
         return Ok(());
@@ -972,27 +1079,14 @@ fn map_device_vals(
                 let v = r.signed()?;
                 put_signed(out, f(v));
             }
-            other => return Err(CodecError(format!("bad instruction tag {other}"))),
+            other => return Err(bad_instruction_tag(other)),
         }
     }
-    fn copy_channel<T>(
-        r: &mut Reader<'_>,
-        out: &mut Vec<u8>,
-        get: impl Fn(&mut Reader<'_>) -> DecodeResult<T>,
-    ) -> DecodeResult<()> {
-        copy_span(r, out, |r| {
-            let len = r.varint()?;
-            for _ in 0..len {
-                get(r)?;
-            }
-            Ok(())
-        })
-    }
-    copy_channel(r, out, get_d2h_req)?;
-    copy_channel(r, out, get_d2h_rsp)?;
+    copy_span(r, out, |r| skip_channel(r, get_d2h_req))?;
+    copy_span(r, out, |r| skip_channel(r, get_d2h_rsp))?;
     map_one_data_channel(r, out, f)?; // d2h_data
-    copy_channel(r, out, get_h2d_req)?;
-    copy_channel(r, out, get_h2d_rsp)?;
+    copy_span(r, out, |r| skip_channel(r, get_h2d_req))?;
+    copy_span(r, out, |r| skip_channel(r, get_h2d_rsp))?;
     map_one_data_channel(r, out, f)?; // h2d_data
     Ok(())
 }
@@ -1002,16 +1096,13 @@ fn map_one_data_channel(
     r: &mut Reader<'_>,
     out: &mut Vec<u8>,
     f: &mut impl FnMut(crate::ids::Val) -> crate::ids::Val,
-) -> DecodeResult<()> {
+) -> ParseResult<()> {
     let start = r.pos;
     let len = r.varint()?;
     out.extend_from_slice(&r.bytes[start..r.pos]);
     for _ in 0..len {
         copy_span(r, out, |r| {
-            match r.byte()? {
-                0 | 1 => {}
-                other => return Err(CodecError(format!("bad bogus flag {other}"))),
-            }
+            bogus_flag(r.byte()?)?;
             r.varint().map(|_| ()) // tid
         })?;
         let v = r.signed()?;
@@ -1020,57 +1111,7 @@ fn map_one_data_channel(
     Ok(())
 }
 
-/// The per-device half of [`StateCodec::collect_program_vals`].
-fn collect_device_program_vals(
-    r: &mut Reader<'_>,
-    out: &mut Vec<crate::ids::Val>,
-) -> DecodeResult<()> {
-    let header = r.byte()?;
-    let quiet = header & QUIET_BIT != 0;
-    let buf_tag = (header >> 5) & 0x03;
-    dstate_from(header & 0x1f)?;
-    r.signed()?; // cache value
-    match buf_tag {
-        BUF_EMPTY => {}
-        BUF_RSP => {
-            get_h2d_rsp(r)?;
-        }
-        BUF_REQ => {
-            get_h2d_req(r)?;
-        }
-        other => return Err(CodecError(format!("bad buffer tag {other}"))),
-    }
-    if quiet {
-        return Ok(());
-    }
-    let prog_len = r.varint()?;
-    for _ in 0..prog_len {
-        match r.byte()? {
-            0 | 2 => {}
-            1 => out.push(r.signed()?),
-            other => return Err(CodecError(format!("bad instruction tag {other}"))),
-        }
-    }
-    fn skip_channel<T>(
-        r: &mut Reader<'_>,
-        get: impl Fn(&mut Reader<'_>) -> DecodeResult<T>,
-    ) -> DecodeResult<()> {
-        let len = r.varint()?;
-        for _ in 0..len {
-            get(r)?;
-        }
-        Ok(())
-    }
-    skip_channel(r, get_d2h_req)?;
-    skip_channel(r, get_d2h_rsp)?;
-    skip_channel(r, get_data)?;
-    skip_channel(r, get_h2d_req)?;
-    skip_channel(r, get_h2d_rsp)?;
-    skip_channel(r, get_data)?;
-    Ok(())
-}
-
-fn decode_device(r: &mut Reader<'_>, dev: &mut DeviceState) -> DecodeResult<()> {
+fn decode_device(r: &mut Reader<'_>, dev: &mut DeviceState) -> ParseResult<()> {
     let header = r.byte()?;
     let quiet = header & QUIET_BIT != 0;
     let buf_tag = (header >> 5) & 0x03;
@@ -1080,7 +1121,7 @@ fn decode_device(r: &mut Reader<'_>, dev: &mut DeviceState) -> DecodeResult<()> 
         BUF_EMPTY => DBufferSlot::Empty,
         BUF_RSP => DBufferSlot::Rsp(get_h2d_rsp(r)?),
         BUF_REQ => DBufferSlot::Req(get_h2d_req(r)?),
-        other => return Err(CodecError(format!("bad buffer tag {other}"))),
+        other => return Err(bad_buffer_tag(other)),
     };
     if quiet {
         dev.prog.clear();
@@ -1099,7 +1140,7 @@ fn decode_device(r: &mut Reader<'_>, dev: &mut DeviceState) -> DecodeResult<()> 
             0 => Instruction::Load,
             1 => Instruction::Store(r.signed()?),
             2 => Instruction::Evict,
-            other => return Err(CodecError(format!("bad instruction tag {other}"))),
+            other => return Err(bad_instruction_tag(other)),
         };
         dev.prog.push_back(instr);
     }
@@ -1567,8 +1608,16 @@ impl StateArena {
         let mut delta = std::mem::take(&mut scratch.delta);
         delta.clear();
         let encoded_ok = {
-            let base_full = self.materialize_entry(&mut scratch, b);
-            self.codec.encode_delta(base_full, full, &mut delta).is_ok()
+            let (base_full, layout) = self.materialize_entry(&mut scratch, b);
+            // A walked chain already knows its result's layout; a
+            // resident keyframe is parsed here.
+            layout
+                .map_or_else(|| self.codec.delta_segments(base_full), Ok)
+                .and_then(|ps| {
+                    self.codec
+                        .encode_delta_from(base_full, &ps, full, &mut delta)
+                })
+                .is_ok()
         };
         let use_delta = encoded_ok && delta.len() < full.len();
         let id = self.offsets.len();
@@ -1679,16 +1728,19 @@ impl StateArena {
     }
 
     /// Materialize the full encoding of entry `id` into the scratch
-    /// buffers, returning a slice of it. Walks the delta chain to the
-    /// nearest keyframe (≤ K links by construction) and replays the
-    /// deltas forward; faults in spilled stored bytes along the way.
+    /// buffers, returning a slice of it and — when a delta chain was
+    /// walked — its layout. Walks the chain to the nearest keyframe (≤ K
+    /// links by construction), parses the keyframe once, and replays the
+    /// deltas forward, carrying the segment bounds from link to link so
+    /// each link parses only the segments it introduces; faults in
+    /// spilled stored bytes along the way.
     fn materialize_entry<'a>(
         &'a self,
         scratch: &'a mut ArenaScratch,
         id: usize,
-    ) -> &'a [u8] {
+    ) -> (&'a [u8], Option<Spans>) {
         if self.is_full_entry(id) && self.is_resident(id) {
-            return self.stored(id);
+            return (self.stored(id), None);
         }
         let ArenaScratch { bufs, chain, cold, cache, faults, .. } = scratch;
         chain.clear();
@@ -1701,23 +1753,30 @@ impl StateArena {
         let (mut src, mut dst) = (a, b);
         src.clear();
         self.copy_stored(cur, src, cache, faults);
+        if chain.is_empty() {
+            return (src, None);
+        }
+        let mut spans = self
+            .codec
+            .delta_segments(src)
+            .expect("arena holds only codec output");
         for &e in chain.iter().rev() {
             let e = e as usize;
-            dst.clear();
-            if self.is_resident(e) {
-                self.codec
-                    .decode_delta(src, self.stored(e), dst)
-                    .expect("arena holds only codec output");
+            let delta = if self.is_resident(e) {
+                self.stored(e)
             } else {
                 cold.clear();
                 self.copy_stored(e, cold, cache, faults);
-                self.codec
-                    .decode_delta(src, cold, dst)
-                    .expect("arena holds only codec output");
-            }
+                &cold[..]
+            };
+            dst.clear();
+            spans = self
+                .codec
+                .apply_delta(src, &spans, delta, dst)
+                .expect("arena holds only codec output");
             std::mem::swap(&mut src, &mut dst);
         }
-        src
+        (src, Some(spans))
     }
 
     /// Append the **full encoding** of state `id` to `out`, whatever its
@@ -1734,8 +1793,7 @@ impl StateArena {
             return;
         }
         let mut scratch = self.scratch.borrow_mut();
-        let bytes = self.materialize_entry(&mut scratch, id);
-        out.extend_from_slice(bytes);
+        out.extend_from_slice(self.materialize_entry(&mut scratch, id).0);
     }
 
     /// Does entry `id`'s full encoding equal `full`? The dedup probe for
@@ -1763,7 +1821,7 @@ impl StateArena {
             return true;
         }
         let mut scratch = self.scratch.borrow_mut();
-        self.materialize_entry(&mut scratch, id) == full
+        self.materialize_entry(&mut scratch, id).0 == full
     }
 
     /// Append the full encoding of `other`'s entry `slot` to this arena
@@ -1799,12 +1857,16 @@ impl StateArena {
     /// Panics if `id` is out of range.
     pub fn decode_into(&self, id: usize, out: &mut SystemState) {
         if self.is_full_entry(id) && self.is_resident(id) {
-            self.codec.decode_into(self.stored(id), out).expect("arena holds only codec output");
+            self.codec
+                .decode_state(self.stored(id), out)
+                .expect("arena holds only codec output");
             return;
         }
         let mut scratch = self.scratch.borrow_mut();
-        let bytes = self.materialize_entry(&mut scratch, id);
-        self.codec.decode_into(bytes, out).expect("arena holds only codec output");
+        let bytes = self.materialize_entry(&mut scratch, id).0;
+        self.codec
+            .decode_state(bytes, out)
+            .expect("arena holds only codec output");
     }
 
     /// Iterate over all states in discovery order, decoding each.

@@ -15,9 +15,11 @@
 
 use cxl_repro::core::codec::StateCodec;
 use cxl_repro::core::instr::Instruction;
-use cxl_repro::core::{ProtocolConfig, Ruleset, SystemState};
+use cxl_repro::core::{ProtocolConfig, Ruleset, StateArena, SystemState};
 use cxl_repro::mc::{CheckOptions, ModelChecker};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One random instruction.
 fn instr() -> impl Strategy<Value = Instruction> {
@@ -122,4 +124,384 @@ proptest! {
             prop_assert_eq!(&scratch, &exp.arena.decode(id));
         }
     }
+}
+
+/// The full encodings of a bounded reachable slice whose programs move the
+/// host line and several devices at once (stores, loads and evictions).
+fn chain_universe(n: usize) -> (StateCodec, Vec<Vec<u8>>) {
+    let progs = (0..n)
+        .map(|i| match i % 3 {
+            0 => vec![Instruction::Store(i as i64 + 1), Instruction::Load],
+            1 => vec![Instruction::Load, Instruction::Evict],
+            _ => vec![Instruction::Store(i as i64 + 1)],
+        })
+        .collect();
+    let exp = explore_bounded(n, progs);
+    let states = (0..exp.len())
+        .map(|id| exp.arena.bytes_of(id).to_vec())
+        .collect();
+    (*exp.arena.codec(), states)
+}
+
+/// The segments `child` changes against `parent`: bit 0 the host-cache
+/// span, bit `i + 1` device `i` (the delta bitmap, one byte for N ≤ 6).
+fn changed_segments(codec: &StateCodec, parent: &[u8], child: &[u8]) -> u8 {
+    let mut delta = Vec::new();
+    codec
+        .encode_delta(parent, child, &mut delta)
+        .expect("valid encodings");
+    delta[0]
+}
+
+/// `state` re-encoded with its counter set to `counter`.
+fn with_counter(codec: &StateCodec, state: &[u8], counter: u64) -> Vec<u8> {
+    let mut s = codec.decode(state).expect("valid encoding");
+    s.counter = counter;
+    codec.encode(&s)
+}
+
+/// Counter pairs a link steps across: each crosses a varint width, which
+/// shifts every later segment bound of the child.
+const WIDTH_CROSSINGS: [(u64, u64); 3] = [(127, 128), (16_383, 16_384), (128, 127)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random delta chains over reachable N = 2..=4 states, in resident
+    /// and spilled arenas under every keyframe interval 1..=8: each entry
+    /// must materialize to exactly the full bytes pushed, whichever links
+    /// its chain crosses. Every chain holds links whose counter crosses a
+    /// varint width, links that change the host-cache span, and links
+    /// that change several devices at once.
+    #[test]
+    fn delta_chains_reproduce_pushed_bytes(
+        n in 2usize..5,
+        keyframe in 1u32..9,
+        spilled in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (codec, universe) = chain_universe(n);
+        let rules = Ruleset::with_devices(ProtocolConfig::full(), n);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pushed: Vec<Vec<u8>> = vec![universe[rng.gen_range(0..universe.len())].clone()];
+        let mut bases = vec![None];
+        let (mut crossings, mut host_links, mut wide_links) = (0, 0, 0);
+        for link in 0..96usize {
+            // Mostly extend the newest entry, so chains reach the keyframe cap.
+            let mut base = if rng.gen_range(0..4) == 0 {
+                rng.gen_range(0..pushed.len())
+            } else {
+                pushed.len() - 1
+            };
+            let mut child = if link % 4 == 0 {
+                // A real successor of the base.
+                let succs = rules.successors(&codec.decode(&pushed[base]).unwrap());
+                match succs.get(rng.gen_range(0..succs.len().max(1))) {
+                    Some((_, s)) => codec.encode(s),
+                    None => pushed[base].clone(),
+                }
+            } else {
+                // Any reachable state: usually the host and several devices move.
+                universe[rng.gen_range(0..universe.len())].clone()
+            };
+            if link % 4 == 3 {
+                // Step the base's counter to `from` in a link of its own,
+                // then cross to `to` with the base itself or the drawn state.
+                let (from, to) = WIDTH_CROSSINGS[rng.gen_range(0..WIDTH_CROSSINGS.len())];
+                let stepped = with_counter(&codec, &pushed[base], from);
+                pushed.push(stepped);
+                bases.push(Some(base as u32));
+                base = pushed.len() - 1;
+                if rng.gen_range(0..2) == 0 {
+                    child = pushed[base].clone();
+                }
+                child = with_counter(&codec, &child, to);
+                crossings += 1;
+            }
+            let bits = changed_segments(&codec, &pushed[base], &child);
+            host_links += usize::from(bits & 1 != 0);
+            wide_links += usize::from((bits >> 1).count_ones() >= 2);
+            pushed.push(child);
+            bases.push(Some(base as u32));
+        }
+        prop_assert!(crossings > 0 && host_links > 0 && wide_links > 0,
+            "coverage: {crossings} crossings, {host_links} host links, {wide_links} wide links");
+
+        let dir = std::env::temp_dir().join(format!(
+            "cxl-codec-chain-{}-{n}-{keyframe}-{seed:x}",
+            std::process::id()
+        ));
+        let mut arena = StateArena::new(codec);
+        arena.enable_delta(keyframe);
+        if spilled {
+            arena.enable_spill(&dir, "chain").unwrap();
+        }
+        // What the arena should store, per the public encoder: a link below
+        // the keyframe cap, as a delta when that is the shorter form.
+        let (mut depth, mut stored_bytes, mut stored_deltas) = (Vec::<u32>::new(), 0, 0);
+        for (id, (full, base)) in pushed.iter().zip(&bases).enumerate() {
+            prop_assert_eq!(arena.push_encoded_delta(full, *base), id);
+            let delta = base
+                .map(|b| b as usize)
+                .filter(|&b| depth[b] + 1 < keyframe)
+                .map(|b| {
+                    let mut delta = Vec::new();
+                    codec.encode_delta(&pushed[b], full, &mut delta).unwrap();
+                    (depth[b] + 1, delta)
+                })
+                .filter(|(_, delta)| delta.len() < full.len());
+            if let Some((d, delta)) = delta {
+                depth.push(d);
+                stored_bytes += delta.len();
+                stored_deltas += 1;
+            } else {
+                depth.push(0);
+                stored_bytes += full.len();
+            }
+            if spilled && rng.gen_range(0..8) == 0 {
+                arena.spill_cold(id.saturating_sub(rng.gen_range(0..6))).unwrap();
+            }
+        }
+        // The arena encodes against bounds carried along the chain; they
+        // must match a fresh parse, or links would carry extra segments.
+        prop_assert_eq!(arena.byte_len(), stored_bytes);
+        prop_assert_eq!(arena.delta_entries(), stored_deltas);
+        if keyframe > 1 {
+            prop_assert!(arena.delta_entries() > 0, "no delta links stored");
+        }
+        if spilled {
+            prop_assert!(arena.spilled_extents() > 0, "nothing spilled");
+        }
+        let (mut buf, mut scratch) = (Vec::new(), codec.blank());
+        for (id, full) in pushed.iter().enumerate() {
+            buf.clear();
+            arena.append_full_bytes(id, &mut buf);
+            prop_assert_eq!(&buf, full, "append_full_bytes id={}", id);
+            arena.decode_into(id, &mut scratch);
+            prop_assert_eq!(&scratch, &codec.decode(full).unwrap(), "decode_into id={}", id);
+            prop_assert!(arena.entry_matches(id, full), "entry_matches id={}", id);
+            if !spilled {
+                prop_assert!(!arena.entry_matches(id, &full[..full.len() - 1]));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The parent copies a delta's changed segments without reparsing the
+    /// child, so each introduced segment must be validated on its own: a
+    /// malformed one is refused, never spliced into a state.
+    #[test]
+    fn delta_with_malformed_segment_is_refused(
+        n in 2usize..5,
+        pick in any::<u64>(),
+    ) {
+        let (codec, universe) = chain_universe(n);
+        let parent = &universe[pick as usize % universe.len()];
+        // Bit `i + 1` of a delta bitmap names device `i`.
+        let device_bit = 1u8 << (1 + (pick >> 32) as usize % n);
+        // Bad DState, bad buffer tag, truncated, trailing byte, bad
+        // instruction; then bad HState, truncated, trailing byte.
+        let bad_devices: [&[u8]; 5] = [&[0x9f, 0], &[0xe0, 0], &[0x80], &[0x80, 0, 0], &[0, 0, 1, 3]];
+        let bad_hosts: [&[u8]; 3] = [&[13, 0], &[0], &[0, 0, 0]];
+        let cases = bad_devices
+            .iter()
+            .map(|seg| (device_bit, *seg))
+            .chain(bad_hosts.iter().map(|seg| (1u8, *seg)));
+        for (bitmap, seg) in cases {
+            // Bitmap, zero counter difference, then the one changed segment.
+            let mut delta = vec![bitmap, 0, seg.len() as u8];
+            delta.extend_from_slice(seg);
+            let mut out = Vec::new();
+            let refused = codec.decode_delta(parent, &delta, &mut out);
+            prop_assert!(refused.is_err(), "segment {:?} under bitmap {:#x} was accepted", seg, bitmap);
+        }
+        // The same framing with a well-formed segment is accepted.
+        let mut delta = vec![device_bit, 0, 2, 0x80, 0];
+        let mut out = Vec::new();
+        codec.decode_delta(parent, &delta, &mut out).unwrap();
+        delta[0] = 1;
+        delta[3] = 0;
+        out.clear();
+        codec.decode_delta(parent, &delta, &mut out).unwrap();
+    }
+}
+
+/// The exact text of every codec refusal. Checkpoint refusals print these
+/// strings, so a change to any of them is a user-visible change; the parse
+/// entry points that walk a whole state must also agree on each message.
+#[test]
+fn codec_error_messages_are_pinned() {
+    use cxl_repro::core::codec::wire::WireReader;
+    use cxl_repro::core::Topology;
+
+    let codec = StateCodec::new(Topology::pair());
+    // A full N = 2 encoding: counter 0, host (I, 0), then device 0's
+    // segment `dev0` and an idle device 1 (quiet header, value 0).
+    let state = |dev0: &[u8]| -> Vec<u8> {
+        let mut bytes = vec![0, 0, 0];
+        bytes.extend_from_slice(dev0);
+        bytes.extend_from_slice(&[0x80, 0]);
+        bytes
+    };
+    let idle = state(&[0x80, 0]);
+    assert_eq!(
+        codec.encode(&codec.decode(&idle).unwrap()),
+        idle,
+        "a canonical encoding"
+    );
+
+    // Every whole-state parser must print the same refusal.
+    let refusals = |bytes: &[u8]| -> Vec<String> {
+        let mut bounds = [0usize; Topology::MAX_DEVICES + 1];
+        let (mut out, mut vals) = (Vec::new(), Vec::new());
+        vec![
+            codec.decode(bytes).unwrap_err().to_string(),
+            codec
+                .device_segment_bounds(bytes, &mut bounds)
+                .unwrap_err()
+                .to_string(),
+            codec
+                .map_vals(bytes, &mut out, |v| v)
+                .unwrap_err()
+                .to_string(),
+            codec
+                .collect_program_vals(bytes, &mut vals)
+                .unwrap_err()
+                .to_string(),
+        ]
+    };
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        (
+            "truncated state",
+            idle[..idle.len() - 1].to_vec(),
+            "truncated at byte 6",
+        ),
+        (
+            "trailing bytes",
+            [&idle[..], &[0]].concat(),
+            "1 trailing bytes after a complete state",
+        ),
+        ("varint overflow", vec![0xff; 12], "varint overflows u64"),
+        (
+            "HState",
+            vec![0, 13, 0, 0x80, 0, 0x80, 0],
+            "bad HState tag 13",
+        ),
+        ("DState", state(&[0x9f, 0]), "bad DState tag 31"),
+        ("buffer", state(&[0xe0, 0]), "bad buffer tag 3"),
+        ("instruction", state(&[0, 0, 1, 3]), "bad instruction tag 3"),
+        (
+            "bogus flag",
+            state(&[0, 0, 0, 0, 0, 1, 2, 0, 0]),
+            "bad bogus flag 2",
+        ),
+        (
+            "D2HReqType",
+            state(&[0, 0, 0, 1, 5, 0]),
+            "bad D2HReqType tag 5",
+        ),
+        (
+            "D2HRspType",
+            state(&[0, 0, 0, 0, 1, 4, 0]),
+            "bad D2HRspType tag 4",
+        ),
+        (
+            "H2DReqType",
+            state(&[0xc0, 0, 2, 0]),
+            "bad H2DReqType tag 2",
+        ),
+        (
+            "H2DRspType",
+            state(&[0xa0, 0, 3, 0]),
+            "bad H2DRspType tag 3",
+        ),
+        (
+            "H2DRsp grant",
+            state(&[0xa0, 0, 0x7c, 0]),
+            "bad DState tag 31",
+        ),
+    ];
+    for (what, bytes, message) in cases {
+        let expected = format!("state decode error: {message}");
+        for got in refusals(&bytes) {
+            assert_eq!(got, expected, "{what}: {bytes:?}");
+        }
+    }
+
+    // Segment- and header-level parsers name what they finished.
+    let mut out = Vec::new();
+    assert_eq!(
+        StateCodec::map_device_segment_vals(&[0x80, 0, 7], &mut out, |v| v)
+            .unwrap_err()
+            .to_string(),
+        "state decode error: 1 trailing bytes after a complete device segment"
+    );
+    assert_eq!(
+        StateCodec::map_header_vals(&[0, 0, 0, 7, 7], &mut out, |v| v)
+            .unwrap_err()
+            .to_string(),
+        "state decode error: 2 trailing bytes after a complete header"
+    );
+
+    // Delta refusals.
+    let child = state(&[0x81, 0]);
+    let mut delta = Vec::new();
+    codec.encode_delta(&idle, &child, &mut delta).unwrap();
+    let delta_refusal = |delta: &[u8]| {
+        codec
+            .decode_delta(&idle, delta, &mut Vec::new())
+            .unwrap_err()
+            .to_string()
+    };
+    assert_eq!(
+        delta_refusal(&[&delta[..], &[0, 0]].concat()),
+        "state decode error: 2 trailing bytes after a complete delta"
+    );
+    assert_eq!(
+        delta_refusal(&delta[..delta.len() - 1]),
+        format!(
+            "state decode error: truncated at byte {} (wanted 2)",
+            delta.len() - 2
+        )
+    );
+    assert_eq!(
+        delta_refusal(&[0x40, 0]),
+        "state decode error: delta bitmap 0x40 names segments beyond 2 devices"
+    );
+    assert_eq!(
+        codec
+            .decode_delta(&idle[..5], &delta, &mut Vec::new())
+            .unwrap_err()
+            .to_string(),
+        "state decode error: truncated at byte 5"
+    );
+    assert_eq!(
+        codec
+            .encode_delta(&idle, &child[..6], &mut Vec::new())
+            .unwrap_err()
+            .to_string(),
+        "state decode error: truncated at byte 6"
+    );
+
+    // The wire framing behind checkpoint files, and arena restore.
+    let mut r = WireReader::new(&[3, 1, 2]);
+    assert_eq!(
+        r.len_prefix(2).unwrap_err().to_string(),
+        "state decode error: length prefix 3 overruns the remaining 2 bytes"
+    );
+    let mut r = WireReader::new(&[5, 1, 2]);
+    assert_eq!(
+        r.bytes().unwrap_err().to_string(),
+        "state decode error: truncated at byte 1 (wanted 5)"
+    );
+    assert_eq!(
+        WireReader::new(&[0x80]).varint().unwrap_err().to_string(),
+        "state decode error: truncated at byte 1"
+    );
+    assert_eq!(
+        StateArena::from_parts(codec, state(&[0x9f, 0]), vec![0])
+            .unwrap_err()
+            .to_string(),
+        "state decode error: arena entry 0: state decode error: bad DState tag 31"
+    );
 }
