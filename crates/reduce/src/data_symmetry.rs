@@ -56,6 +56,14 @@ use crate::symmetry::all_permutations;
 use cxl_core::codec::StateCodec;
 use cxl_core::ids::Val;
 use cxl_core::SystemState;
+use std::cell::RefCell;
+
+thread_local! {
+    /// [`DataSymmetry::renumber`]'s value map, one per thread and
+    /// cleared on entry: it stops growing once it has held the most
+    /// distinct free values a state of the run carries.
+    static RENUMBER_MAP: RefCell<Vec<(Val, Val)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The data-symmetry engine for one exploration run: the codec it parses
 /// encodings with and the pinned values (initial-state live values plus
@@ -139,30 +147,32 @@ impl DataSymmetry {
     /// Panics if `bytes` is not a valid encoding for the engine's codec —
     /// the checker only feeds its own codec output through here.
     pub fn renumber(&self, bytes: &[u8], out: &mut Vec<u8>) -> (bool, usize) {
-        // The handful of distinct values a state can hold makes linear
-        // scans the right data structure here.
-        let mut map: Vec<(Val, Val)> = Vec::with_capacity(4);
-        let mut next_token: Val = 0;
-        let mut changed = false;
-        self.codec
-            .map_vals(bytes, out, |v| {
-                if self.pinned.contains(&v) {
-                    return v;
-                }
-                if let Some(&(_, t)) = map.iter().find(|&&(from, _)| from == v) {
-                    return t;
-                }
-                while self.pinned.contains(&next_token) {
+        RENUMBER_MAP.with_borrow_mut(|map| {
+            // The handful of distinct values a state can hold makes
+            // linear scans the right data structure here.
+            map.clear();
+            let mut next_token: Val = 0;
+            let mut changed = false;
+            self.codec
+                .map_vals(bytes, out, |v| {
+                    if self.pinned.contains(&v) {
+                        return v;
+                    }
+                    if let Some(&(_, t)) = map.iter().find(|&&(from, _)| from == v) {
+                        return t;
+                    }
+                    while self.pinned.contains(&next_token) {
+                        next_token += 1;
+                    }
+                    let t = next_token;
                     next_token += 1;
-                }
-                let t = next_token;
-                next_token += 1;
-                map.push((v, t));
-                changed |= t != v;
-                t
-            })
-            .expect("renumber over codec output");
-        (changed, map.len())
+                    map.push((v, t));
+                    changed |= t != v;
+                    t
+                })
+                .expect("renumber over codec output");
+            (changed, map.len())
+        })
     }
 
     /// Every device permutation σ whose action on `initial` is undone by

@@ -641,22 +641,27 @@ impl Reduction {
         // orbit invariants (a value bijection or device permutation
         // changes neither), so every state of one orbit takes the same
         // branch and the canonical form stays a function of the orbit.
-        let (id_changed, distinct_free) = ds.renumber(bytes, scratch);
-        if distinct_free <= 1 && self.joint_perms.len() as u64 == self.group.order() {
-            let sym_changed = self.group.canonicalize(&self.codec, &mut scratch[..], bytes);
-            let changed = id_changed || sym_changed;
-            if changed {
-                std::mem::swap(bytes, scratch);
-                if count {
-                    if id_changed {
-                        self.value_canonicalized.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if sym_changed {
-                        self.orbit_canonicalized.fetch_add(1, Ordering::Relaxed);
+        // The group condition is fixed at construction, so it is tested
+        // first: when it fails, the renumber pass that counts the free
+        // values would only be overwritten by the labeller.
+        if self.joint_perms.len() as u64 == self.group.order() {
+            let (id_changed, distinct_free) = ds.renumber(bytes, scratch);
+            if distinct_free <= 1 {
+                let sym_changed = self.group.canonicalize(&self.codec, &mut scratch[..], bytes);
+                let changed = id_changed || sym_changed;
+                if changed {
+                    std::mem::swap(bytes, scratch);
+                    if count {
+                        if id_changed {
+                            self.value_canonicalized.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if sym_changed {
+                            self.orbit_canonicalized.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
+                return changed;
             }
-            return changed;
         }
         let outcome = lab.canonicalize(ds, bytes, scratch);
         let changed = *scratch != *bytes;

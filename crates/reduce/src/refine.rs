@@ -73,12 +73,13 @@
 //! order to whole-encoding order; the header is constant across
 //! arrangements). At `k = N` the shared render *is* `min over σ of
 //! renumber(σ · bytes)` — byte-identical to the brute-force scan, which
-//! the workspace's differential proptests pin at N ∈ {2, 3, 4}.
+//! the workspace's differential proptests pin at N ∈ 2..=6.
 
 use crate::data_symmetry::DataSymmetry;
 use cxl_core::codec::StateCodec;
 use cxl_core::ids::Val;
 use cxl_core::Topology;
+use std::cell::RefCell;
 
 /// What [`RefineLabeller::canonicalize`] did to the encoding — the
 /// attribution half of the joint engine's per-engine counters.
@@ -90,20 +91,108 @@ pub struct RefineOutcome {
     pub renumbered: bool,
 }
 
-/// One surviving placement prefix: which sources are placed, in which
-/// order, and the value map their shared render has committed to.
-#[derive(Clone, Debug)]
+/// One surviving placement prefix: which sources are placed, the value
+/// map their shared render has committed to, and what the placement
+/// changed so far.
+#[derive(Clone, Copy, Debug)]
 struct Branch {
     /// Bitmask of placed source indices (`MAX_DEVICES ≤ 8`).
     used: u8,
-    /// Chosen source per slot so far — attribution only.
-    srcs: Vec<usize>,
-    /// The incremental first-occurrence map, in assignment order.
-    map: Vec<(Val, Val)>,
+    /// The incremental first-occurrence map, in assignment order: the
+    /// span `start..end` of the flat map buffer of its generation.
+    start: usize,
+    end: usize,
     /// The next token [`remap`] hands out (ascending, skipping pinned).
     next: Val,
     /// Did any assignment relabel (`token != value`)?
     vchanged: bool,
+    /// Was any slot filled from another source index?
+    rearranged: bool,
+}
+
+/// The labeller's working memory. Every buffer is cleared before a call
+/// first reads it, so nothing survives from one call to the next — not
+/// even from a call that panicked midway.
+struct Scratch {
+    /// The privacy census, taken at a call's first tying slot.
+    census: Census,
+    /// The surviving branches entering the current slot.
+    branches: Vec<Branch>,
+    /// Per slot: (parent index, start of the freshly assigned values in
+    /// the branch's map, branch).
+    winners: Vec<(usize, usize, Branch)>,
+    /// The value maps of `branches`, back to back.
+    maps: Vec<(Val, Val)>,
+    /// The value maps of `winners`, back to back.
+    next_maps: Vec<(Val, Val)>,
+    /// The slot's minimal render so far, and the candidate being rendered.
+    best: Vec<u8>,
+    cand: Vec<u8>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Scratch {
+            census: Census { counts: Vec::new(), seen: Vec::new(), sink: Vec::new() },
+            branches: Vec::new(),
+            winners: Vec::new(),
+            maps: Vec::new(),
+            next_maps: Vec::new(),
+            best: Vec::new(),
+            cand: Vec::new(),
+        }
+    }
+}
+
+/// In how many device segments of one encoding each free value occurs —
+/// what the privacy collapse asks. The header needs no count: it renders
+/// first and seeds every branch's map, so no value of it is ever freshly
+/// assigned by a candidate.
+struct Census {
+    /// Free value → number of segments it occurs in.
+    counts: Vec<(Val, u16)>,
+    /// Free values of the segment being counted.
+    seen: Vec<Val>,
+    /// The counting pass's discarded render.
+    sink: Vec<u8>,
+}
+
+impl Census {
+    /// Count the `n` device segments of `bytes`, split at `bounds`.
+    fn take(&mut self, pinned: &[Val], bytes: &[u8], bounds: &[usize], n: usize) {
+        let Census { counts, seen, sink } = self;
+        counts.clear();
+        for i in 0..n {
+            seen.clear();
+            sink.clear();
+            StateCodec::map_device_segment_vals(&bytes[bounds[i]..bounds[i + 1]], sink, |v| {
+                if !pinned.contains(&v) && !seen.contains(&v) {
+                    seen.push(v);
+                }
+                v
+            })
+            .expect("refine over codec output");
+            for &v in seen.iter() {
+                match counts.iter_mut().find(|e| e.0 == v) {
+                    Some(e) => e.1 += 1,
+                    None => counts.push((v, 1)),
+                }
+            }
+        }
+    }
+
+    /// Does `v` occur in at most one segment?
+    fn private(&self, v: Val) -> bool {
+        self.counts.iter().find(|&&(u, _)| u == v).is_none_or(|&(_, c)| c == 1)
+    }
+}
+
+thread_local! {
+    /// One [`Scratch`] per thread: the checker's workers canonicalize
+    /// concurrently through a shared `&RefineLabeller`, and the buffers
+    /// reach their high-water marks within the first few calls, after
+    /// which labelling allocates nothing.
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
 /// The partition-refinement canonical labeller: minimises the renumbered
@@ -147,45 +236,51 @@ impl RefineLabeller {
     /// `out` (cleared first) and report what changed relative to the
     /// identity arrangement. Byte-identical to the brute-force scan over
     /// the same group; `out == bytes` exactly when the input is already
-    /// canonical.
+    /// canonical. Allocates nothing once the calling thread's working
+    /// buffers (and `out`) have grown to the workload's sizes.
     ///
     /// # Panics
     /// Panics if `bytes` is not a valid encoding for the labeller's
     /// codec — the checker only feeds its own codec output through here.
     pub fn canonicalize(&self, ds: &DataSymmetry, bytes: &[u8], out: &mut Vec<u8>) -> RefineOutcome {
+        SCRATCH.with_borrow_mut(|s| self.label(ds, bytes, out, s))
+    }
+
+    fn label(
+        &self,
+        ds: &DataSymmetry,
+        bytes: &[u8],
+        out: &mut Vec<u8>,
+        s: &mut Scratch,
+    ) -> RefineOutcome {
         let pinned = ds.static_pinned();
         let n = self.codec.topology().device_count();
         let mut bounds = [0usize; Topology::MAX_DEVICES + 1];
         self.codec.device_segment_bounds(bytes, &mut bounds).expect("refine over codec output");
         let seg = |i: usize| &bytes[bounds[i]..bounds[i + 1]];
 
-        // Region census for the privacy collapse: in how many regions
-        // (header, each segment) does each free value occur?
-        let mut regions: Vec<(Val, u16)> = Vec::new();
-        census_piece(pinned, &bytes[..bounds[0]], true, &mut regions);
-        for i in 0..n {
-            census_piece(pinned, seg(i), false, &mut regions);
-        }
-        let private =
-            |v: Val| regions.iter().find(|&&(u, _)| u == v).is_none_or(|&(_, c)| c == 1);
+        let Scratch { census, branches, winners, maps, next_maps, best, cand } = s;
+        // The census only serves slots with tying candidates; many
+        // encodings have none, so it is taken on the first tie.
+        let mut censused = false;
 
         // The header renders once, seeding the shared value map.
         out.clear();
+        maps.clear();
         let mut root =
-            Branch { used: 0, srcs: Vec::with_capacity(n), map: Vec::new(), next: 0, vchanged: false };
+            Branch { used: 0, start: 0, end: 0, next: 0, vchanged: false, rearranged: false };
         StateCodec::map_header_vals(&bytes[..bounds[0]], out, |v| {
-            remap(pinned, &mut root.map, &mut root.next, &mut root.vchanged, v)
+            remap(pinned, maps, 0, &mut root.next, &mut root.vchanged, v)
         })
         .expect("refine over codec output");
+        root.end = maps.len();
+        branches.clear();
+        branches.push(root);
 
-        let mut branches = vec![root];
-        let mut best: Vec<u8> = Vec::new();
-        let mut cand: Vec<u8> = Vec::new();
-        // Per slot: (parent index, all-fresh-values-private, branch).
-        let mut winners: Vec<(usize, bool, Branch)> = Vec::new();
         for slot in 0..n {
             let cell = &self.cells[self.cell_of[slot]];
             winners.clear();
+            next_maps.clear();
             for (parent, br) in branches.iter().enumerate() {
                 'cand: for (ci, &src) in cell.iter().enumerate() {
                     if br.used & (1 << src) != 0 {
@@ -199,73 +294,89 @@ impl RefineLabeller {
                         }
                     }
                     cand.clear();
+                    let start = next_maps.len();
+                    next_maps.extend_from_slice(&maps[br.start..br.end]);
+                    let fresh_from = next_maps.len();
                     let mut next = Branch {
                         used: br.used | (1 << src),
-                        srcs: br.srcs.clone(),
-                        map: br.map.clone(),
+                        start,
+                        end: 0,
                         next: br.next,
                         vchanged: br.vchanged,
+                        rearranged: br.rearranged || src != slot,
                     };
-                    next.srcs.push(src);
-                    let fresh_from = next.map.len();
-                    StateCodec::map_device_segment_vals(seg(src), &mut cand, |v| {
-                        remap(pinned, &mut next.map, &mut next.next, &mut next.vchanged, v)
+                    StateCodec::map_device_segment_vals(seg(src), cand, |v| {
+                        remap(pinned, next_maps, start, &mut next.next, &mut next.vchanged, v)
                     })
                     .expect("refine over codec output");
-                    if winners.is_empty() || cand < best {
+                    next.end = next_maps.len();
+                    if winners.is_empty() || *cand < *best {
+                        // Earlier winners lost; their map spans stay
+                        // behind as dead entries until the slot ends.
                         winners.clear();
-                        std::mem::swap(&mut best, &mut cand);
+                        std::mem::swap(best, cand);
                     } else if cand != best {
+                        next_maps.truncate(start);
                         continue;
                     }
-                    let all_private = next.map[fresh_from..].iter().all(|&(v, _)| private(v));
-                    winners.push((parent, all_private, next));
+                    winners.push((parent, fresh_from, next));
                 }
             }
             debug_assert!(!winners.is_empty(), "every cell covers its slots");
-            out.extend_from_slice(&best);
-            // Privacy collapse: tying siblings whose fresh values are
-            // private are automorphic — keep the first per parent.
-            let mut collapsed: Vec<usize> = Vec::new(); // parents already represented
-            // Branch dedup: equal (placed set, map-as-function) pairs
-            // have identical futures — keep the first.
-            let mut keys: Vec<(u8, Vec<(Val, Val)>)> = Vec::new();
+            out.extend_from_slice(best);
             branches.clear();
-            for (parent, all_private, br) in winners.drain(..) {
-                if all_private {
-                    if collapsed.contains(&parent) {
+            let tie = winners.len() > 1;
+            if tie && !censused {
+                census.take(pinned, bytes, &bounds, n);
+                censused = true;
+            }
+            // Winners arrive in parent order, so the parent already
+            // represented by a collapsed branch, if any, is the last one.
+            let mut collapsed = None;
+            for &(parent, fresh_from, br) in winners.iter() {
+                // Privacy collapse: tying siblings whose fresh values
+                // are private are automorphic — keep the first per
+                // parent.
+                if tie && next_maps[fresh_from..br.end].iter().all(|&(v, _)| census.private(v)) {
+                    if collapsed == Some(parent) {
                         continue;
                     }
-                    collapsed.push(parent);
+                    collapsed = Some(parent);
                 }
-                let mut key_map = br.map.clone();
-                key_map.sort_unstable();
-                let key = (br.used, key_map);
-                if keys.contains(&key) {
-                    continue;
+                // Branch dedup: equal (placed set, map-as-function)
+                // pairs have identical futures — keep the first. A map
+                // assigns each value once, so equal functions are equal
+                // sets of pairs.
+                let map = &next_maps[br.start..br.end];
+                let same = |k: &Branch| {
+                    let kept = &next_maps[k.start..k.end];
+                    k.used == br.used
+                        && kept.len() == map.len()
+                        && kept.iter().all(|e| map.contains(e))
+                };
+                if !branches.iter().any(same) {
+                    branches.push(br);
                 }
-                keys.push(key);
-                branches.push(br);
             }
+            std::mem::swap(maps, next_maps);
         }
 
         // Branches are generated parent-order-first, sources ascending,
         // so the first survivor carries the lexicographically-least
         // placement — the identity whenever the input was canonical.
         let first = &branches[0];
-        RefineOutcome {
-            rearranged: first.srcs.iter().enumerate().any(|(i, &s)| i != s),
-            renumbered: first.vchanged,
-        }
+        RefineOutcome { rearranged: first.rearranged, renumbered: first.vchanged }
     }
 }
 
 /// The incremental first-occurrence relabelling — one value slot of
 /// [`DataSymmetry::renumber`], with the map threaded by the caller so a
-/// branch can render segment by segment.
+/// branch can render segment by segment. The branch's map is
+/// `map[from..]`; a fresh assignment is appended to it.
 fn remap(
     pinned: &[Val],
     map: &mut Vec<(Val, Val)>,
+    from: usize,
     next: &mut Val,
     vchanged: &mut bool,
     v: Val,
@@ -273,7 +384,7 @@ fn remap(
     if pinned.contains(&v) {
         return v;
     }
-    if let Some(&(_, t)) = map.iter().find(|&&(from, _)| from == v) {
+    if let Some(&(_, t)) = map[from..].iter().find(|&&(key, _)| key == v) {
         return t;
     }
     while pinned.contains(next) {
@@ -284,31 +395,6 @@ fn remap(
     map.push((v, t));
     *vchanged |= t != v;
     t
-}
-
-/// Record which free values occur in one region (the header or one
-/// device segment) into the census, counting each region at most once.
-fn census_piece(pinned: &[Val], piece: &[u8], header: bool, regions: &mut Vec<(Val, u16)>) {
-    let mut seen: Vec<Val> = Vec::new();
-    let mut sink = Vec::new();
-    let mut record = |v: Val| {
-        if !pinned.contains(&v) && !seen.contains(&v) {
-            seen.push(v);
-        }
-        v
-    };
-    if header {
-        StateCodec::map_header_vals(piece, &mut sink, &mut record)
-    } else {
-        StateCodec::map_device_segment_vals(piece, &mut sink, &mut record)
-    }
-    .expect("refine over codec output");
-    for v in seen {
-        match regions.iter_mut().find(|e| e.0 == v) {
-            Some(e) => e.1 += 1,
-            None => regions.push((v, 1)),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -187,9 +187,11 @@ impl SymmetryGroup {
             if class.len() < 2 {
                 continue;
             }
-            let mut order: Vec<usize> = class.clone();
+            let mut order = [0usize; Topology::MAX_DEVICES];
+            let order = &mut order[..class.len()];
+            order.copy_from_slice(class);
             order.sort_by(|&a, &b| seg(a).cmp(seg(b)));
-            for (&slot, &src) in class.iter().zip(&order) {
+            for (&slot, &src) in class.iter().zip(order.iter()) {
                 src_of_slot[slot] = src;
                 changed |= slot != src;
             }

@@ -8,7 +8,8 @@
 //!    renumbering under admissible value bijections, and the joint form
 //!    under both at once — over randomised states at N ∈ 2..=4,
 //!    including wild unreachable ones (canonical form is total over
-//!    codec output).
+//!    codec output); and the refine labeller equal to the brute scan
+//!    byte for byte at N ∈ 2..=6 over one- and two-cell groups.
 //! 2. **Verdict equivalence** — the differential suite: reduced vs.
 //!    unreduced exploration over N ∈ {2, 3} grids under strict, full,
 //!    and relaxed configurations must agree on clean-vs-violating (per
@@ -243,45 +244,71 @@ proptest! {
         prop_assert_eq!(red.canonical_encoding(&dev_then_val), canon.clone());
         prop_assert_eq!(red.canonical_encoding(&val_then_dev), canon);
     }
+}
+
+proptest! {
+    // Brute costs a few milliseconds per state at N = 6 even unoptimised,
+    // so this law affords more cases than the block above.
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn refine_canon_matches_brute_canon_byte_for_byte(
-        n in 2usize..5,
+        n in 2usize..7,
         state_seed in 0u64..1_000_000,
-        value_blind in 0u8..2,
+        shape in 0u8..4,
     ) {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        use Instruction::{Load, Store};
 
-        let value_blind = value_blind == 1;
-        // Two ways to arm a full S_N joint group: byte-identical
-        // store-minting programs (byte symmetry), and all-distinct
-        // single-store programs (pure value-blind symmetry, trivial
-        // byte group). Both are full orbit products, so the refine
-        // labeller is exact — its representative must equal the brute
-        // enumeration's byte for byte, on arbitrary codec output.
-        let progs: Vec<_> = if value_blind {
-            (0..n).map(|i| vec![Instruction::Store(i as i64 + 1)].into()).collect()
-        } else {
-            vec![vec![Instruction::Store(11), Instruction::Load].into(); n]
-        };
+        // Four ways to arm the joint engines. Each admissible set is a
+        // full product over its orbit cells, so the refine labeller is
+        // exact: its representative must equal the brute enumeration's
+        // byte for byte, on arbitrary codec output.
+        // 0: byte-identical store-minting programs (byte symmetry);
+        // 1: all-distinct single stores (pure value-blind symmetry,
+        //    trivial byte group);
+        // 2: one odd device plus a value-isomorphic cell, as in
+        //    perfbench's `n4_stores` — two cells, `{0}` and the rest;
+        // 3: four pending stores per device, every operand distinct —
+        //    the initial state alone assigns 4n free values, and every
+        //    device ties with every other at each slot.
+        let progs = (0..n as i64)
+            .map(|i| {
+                match shape {
+                    0 => vec![Store(11), Load],
+                    1 => vec![Store(i + 1)],
+                    2 if i == 0 => vec![Store(1), Load],
+                    2 => vec![Store(i + 1)],
+                    _ => (1..=4).map(|k| Store(4 * i + k)).collect(),
+                }
+                .into()
+            })
+            .collect();
         let init = SystemState::initial_n(n, progs);
         let rules = Ruleset::with_devices(ProtocolConfig::strict(), n);
         let refine =
             Reduction::new(&rules, &init, rcc(true, true, PorMode::Off, CanonMode::Refine));
         let brute =
             Reduction::new(&rules, &init, rcc(true, true, PorMode::Off, CanonMode::Brute));
-        prop_assert_eq!(refine.canon_name(), "refine");
-        prop_assert_eq!(brute.canon_name(), "brute");
-        prop_assert_eq!(refine.joint_perms().len(), (1..=n).product::<usize>());
+        // Shape 2 at n = 2 has no second device to swap with.
+        let cell = if shape == 2 { n - 1 } else { n };
+        let joint = (1..=cell).product::<usize>();
+        let engines = if joint > 1 { ("refine", "brute") } else { ("off", "off") };
+        prop_assert_eq!((refine.canon_name(), brute.canon_name()), engines);
+        prop_assert_eq!(refine.joint_perms().len(), joint);
 
+        // The initial state (shape 3: every operand still pending, 24
+        // free values at n = 6), then random states.
         let mut rng = StdRng::seed_from_u64(state_seed);
-        let s = random_state_n(&mut rng, n);
-        prop_assert_eq!(
-            refine.canonical_encoding(&s),
-            brute.canonical_encoding(&s),
-            "refine and brute disagree on a representative at n = {}", n
-        );
+        let randoms: Vec<SystemState> = (0..8).map(|_| random_state_n(&mut rng, n)).collect();
+        for s in std::iter::once(&init).chain(&randoms) {
+            prop_assert_eq!(
+                refine.canonical_encoding(s),
+                brute.canonical_encoding(s),
+                "refine and brute disagree on a representative at n = {}, shape {}", n, shape
+            );
+        }
     }
 }
 
