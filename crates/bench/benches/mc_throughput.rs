@@ -11,8 +11,8 @@
 //!   terminal-state rescan;
 //! - `optimized` — the packed-arena single-threaded pipeline
 //!   (scratch-state rule firing, byte-encoded dedup);
-//! - `optimized_par` — the same pipeline over the persistent worker pool
-//!   (packed-bytes chunk protocol).
+//! - `optimized_par` — the same pipeline with wide levels expanded on
+//!   scoped workers (packed-bytes chunk protocol).
 //!
 //! The wider rows (`optimized_n3`, `optimized_n4`) explore 3- and
 //! 4-device workloads with the sequential optimized pipeline — the N = 4

@@ -159,7 +159,7 @@ impl Default for MatrixOptions {
 }
 
 /// Build the default obligation universe for a configuration, expanding
-/// each grid scenario over `threads` persistent workers.
+/// each grid scenario's wide levels on `threads` scoped workers.
 #[must_use]
 pub fn default_universe(rules: &Ruleset, random_states: usize, seed: u64, threads: usize) -> Universe {
     let grid = default_program_grid();

@@ -49,17 +49,18 @@
 //!   private [`cxl_core::FpIndex`] + arena segment. A successor's owner
 //!   is [`cxl_core::shard_of`] its fingerprint (high bits), so equal
 //!   states always meet in the same shard and dedup is complete without
-//!   a shared visited set. One shard with no pool is the sequential
+//!   a shared visited set. One shard with no workers is the sequential
 //!   case: the global id is the slot, and the segment is the returned
-//!   arena. With `threads > 1`, wide levels expand over a persistent
-//!   worker pool (workers live for the whole search inside one
-//!   [`std::thread::scope`]) and dedup in parallel: shard state moves
-//!   wholesale through the job queue, so insertion is lock-free
-//!   single-owner mutation with no atomics. A BFS-level commit barrier
-//!   assigns global ids in (frontier order × successor order) discovery
-//!   order, so reports, traces, checkpoints, and the returned arena are
-//!   bit-identical for every thread and shard count. Property checking
-//!   over freshly discovered states uses the same pool.
+//!   arena. With `threads > 1`, a wide level's expansion, dedup, and
+//!   property check each run as one phase of scoped workers
+//!   ([`std::thread::scope`]) that exist only for that phase. A dedup
+//!   job borrows its shard as `&mut`, so insertion is single-owner
+//!   mutation with no lock and no atomics, and a panic on any worker
+//!   propagates out of [`ModelChecker::explore`] as it does at one
+//!   thread. A BFS-level commit barrier assigns global ids in (frontier
+//!   order × successor order) discovery order, so reports, traces,
+//!   checkpoints, and the returned arena are bit-identical for every
+//!   thread and shard count.
 //!
 //! A [`CheckOptions::mem_budget`] bounds the packed store: when the arena
 //! outgrows it the search truncates cleanly (like `max_states`) instead
@@ -84,11 +85,9 @@ use cxl_telemetry::{
     FlightKind, FlightRing, LevelRecord, Phase, PhaseClock, PhaseNanos, ReductionDelta,
     RunSummary, ShardLevelStats,
 };
-use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A pruning predicate: states for which it returns `true` are recorded
@@ -107,7 +106,9 @@ pub struct CheckOptions {
     pub max_depth: Option<usize>,
     /// Stop after collecting this many property violations.
     pub max_violations: usize,
-    /// Worker threads for successor expansion and property checking.
+    /// Worker threads for successor expansion, dedup, and property
+    /// checking. Each wide level spawns them for one phase at a time;
+    /// `1` runs the whole search on the calling thread.
     pub threads: usize,
     /// Byte budget for the search's resident footprint: the packed state
     /// store (payload + offset table) **plus** the dedup fingerprint
@@ -207,13 +208,6 @@ pub struct CheckOptions {
     /// path without a single extra branch or clock read, and exploration
     /// results are bit-identical either way.
     pub telemetry: Option<Arc<dyn cxl_telemetry::Recorder>>,
-    /// Capacity of the flight-recorder ring (last-K structured events:
-    /// level commits, checkpoint writes, degradation rungs, spill
-    /// seals/faults, quarantines, violations, resumes). The ring is kept
-    /// regardless of [`CheckOptions::telemetry`] — events are rare and
-    /// the ring is the black box surfaced in [`Report::flight`] and
-    /// carried inside checkpoints. `0` disables it.
-    pub flight_events: usize,
 }
 
 /// The default packed-store budget: ample for every workload in this
@@ -241,16 +235,18 @@ pub const DEFAULT_SPILL_BUDGET: usize = 32 * 1024 * 1024;
 /// pressure.
 pub const DEFAULT_FRONTIER_RING: usize = 2048;
 
-/// Minimum frontier width before the search ships expansion to the
-/// worker pool. A pooled phase costs a submit/wake/drain round-trip
-/// regardless of size, so levels below this run inline on the driver
-/// thread (the fused arm of `ModelChecker::search`).
+/// Minimum frontier width before the search expands (or property-checks)
+/// a level on scoped workers. Every pooled phase spawns and joins its
+/// workers — 55–85 µs for two threads on a 2-vCPU VM — and ships each
+/// state's bytes out and its results back, so levels below this run
+/// inline on the driver thread (the fused arm of `ModelChecker::search`).
 const PAR_EXPAND_MIN: usize = 256;
 
-/// Minimum routed-message count before shard dedup jobs cross the pool.
-/// Dedup work per message (hash probe + possible segment append) is an
-/// order of magnitude lighter than expansion work per state, so the bar
-/// is correspondingly higher.
+/// Minimum routed-message count before a level dedups on scoped workers,
+/// one job per shard. Dedup work per message (hash probe + possible
+/// segment append) is an order of magnitude lighter than expansion work
+/// per state, so the same spawn-and-join cost needs a correspondingly
+/// higher bar.
 const PAR_DEDUP_MIN: usize = 2048;
 
 impl Default for CheckOptions {
@@ -271,7 +267,6 @@ impl Default for CheckOptions {
             prune: None,
             reduction: None,
             telemetry: None,
-            flight_events: cxl_telemetry::DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -294,7 +289,6 @@ impl std::fmt::Debug for CheckOptions {
             .field("prune", &self.prune.is_some())
             .field("reduction", &self.reduction.as_ref().map(|r| r.describe()))
             .field("telemetry", &self.telemetry.is_some())
-            .field("flight_events", &self.flight_events)
             .finish()
     }
 }
@@ -304,8 +298,8 @@ impl std::fmt::Debug for CheckOptions {
 pub const NOT_EXPANDED: u32 = u32::MAX;
 
 /// The outcome of expanding one frontier state inside an
-/// [`ExpandedChunk`]. Rule firing runs inside `catch_unwind` (in both
-/// the inline path and the pool workers), so a panic in the rule engine
+/// [`ExpandedChunk`]. Rule firing runs inside `catch_unwind` (on the
+/// inline path and on the workers alike), so a panic in the rule engine
 /// poisons *one state* — quarantined in [`Report::quarantined`] —
 /// instead of tearing down the whole search.
 enum Outcome {
@@ -352,9 +346,10 @@ struct ExpandedChunk {
     decoded: Vec<Box<SystemState>>,
 }
 
-/// Packed shipment of arena states across the pool: ids plus their
+/// Packed shipment of arena states to a worker: ids plus their
 /// concatenated bytes (one buffer per job instead of one `Vec<u8>` per
-/// state).
+/// state). Workers never read the store itself, whose arenas are not
+/// `Sync`.
 struct StateBatch {
     ids: Vec<usize>,
     ends: Vec<usize>,
@@ -568,7 +563,7 @@ impl ModelChecker {
              (a pruning closure cannot be checkpointed, so its checkpoints could \
               never be safely resumed)"
         );
-        self.drive(Start::Fresh(initial), props)
+        self.search(Start::Fresh(initial), props)
     }
 
     /// Resume (or reconstitute) the exploration recorded in the options'
@@ -622,7 +617,7 @@ impl ModelChecker {
         if !cp.resumable {
             return Ok(self.reconstitute(cp));
         }
-        Ok(self.drive(Start::Resume(Box::new(cp)), props))
+        Ok(self.search(Start::Resume(Box::new(cp)), props))
     }
 
     /// Rebuild the [`Exploration`] a non-resumable (mid-level) checkpoint
@@ -650,41 +645,6 @@ impl ModelChecker {
         Exploration { report, arena: cp.arena, successor_counts: cp.succ_counts }
     }
 
-    /// Run the search over the configured shard count: inline on this
-    /// thread for `threads <= 1` (one shard and no pool is the plain
-    /// sequential search; more shards test the routed layout
-    /// deterministically on one core), otherwise with the persistent
-    /// worker pool.
-    fn drive(&self, start: Start<'_>, props: &[&dyn Property]) -> Exploration {
-        let shards = self.opts.shards.unwrap_or(self.opts.threads).max(1);
-        if self.opts.threads <= 1 {
-            return self.search(start, props, shards, None);
-        }
-        let shared = PoolShared::new(
-            &self.rules,
-            self.opts.prune.as_ref(),
-            self.opts.reduction.as_deref(),
-            props,
-        );
-        std::thread::scope(|scope| {
-            // Workers spawn on first pooled phase, not here: a check
-            // whose levels all run inline (narrow frontiers — the
-            // common case for small grids) never pays thread
-            // spawn/join at all.
-            let pool = LazyPool {
-                shared: &shared,
-                scope,
-                threads: self.opts.threads,
-                spawned: Cell::new(false),
-            };
-            let out = self.search(start, props, shards, Some(&pool));
-            if pool.spawned.get() {
-                shared.shutdown();
-            }
-            out
-        })
-    }
-
     /// All states reachable from `initial` (no properties checked),
     /// decoded into shared heap states.
     #[must_use]
@@ -697,36 +657,33 @@ impl ModelChecker {
     // -----------------------------------------------------------------
 
     /// The exploration driver: a level-synchronous BFS over a store of
-    /// `shards` fingerprint-owned shards, with a commit barrier per level.
+    /// fingerprint-owned shards (one per worker thread unless
+    /// [`CheckOptions::shards`] says otherwise), with a commit barrier
+    /// per level.
     ///
     /// Each level first walks the boundary work (depth and time
     /// watchdogs, the degradation ladder's boundary rungs, cold-extent
     /// spill, periodic checkpoints), then expands and merges the frontier
     /// in one of two arms:
     ///
-    /// - **Fused inline** (no pool, or a frontier narrower than the pool
-    ///   round-trip is worth): each parent expands into a small per-parent
-    ///   chunk that stays L1-hot and merges at once, and stored
-    ///   successors fill the decoded-frontier ring.
-    /// - **Pooled**: the frontier expands over the worker pool's chunk
-    ///   protocol; a level that provably cannot truncate and is wide
-    ///   enough dedups routed, each shard's inbox drained on a worker that
-    ///   owns the shard ([`Self::routed_dedup`]), and every other level
-    ///   merges serially on this thread.
+    /// - **Fused inline** (one thread, or a frontier narrower than a
+    ///   pooled phase is worth): each parent expands into a small
+    ///   per-parent chunk that stays L1-hot and merges at once, and
+    ///   stored successors fill the decoded-frontier ring.
+    /// - **Pooled**: the frontier expands on scoped workers
+    ///   ([`Self::expand_pooled`]); a level that provably cannot truncate
+    ///   and is wide enough dedups routed, each shard's inbox drained on
+    ///   a worker that borrows the shard ([`Self::routed_dedup`]), and
+    ///   every other level merges serially on this thread.
     ///
     /// Both arms see successors in (frontier order × successor order), and
-    /// every serial merge goes through [`Self::merge`], so the bits that
-    /// come out are the same for every arm, thread count, and shard count.
-    /// Fresh states are then property-checked, and the level is committed
-    /// to telemetry.
+    /// every serial merge goes through [`Self::merge_chunk`], so the bits
+    /// that come out are the same for every arm, thread count, and shard
+    /// count. Fresh states are then property-checked, and the level is
+    /// committed to telemetry.
     #[allow(clippy::too_many_lines)]
-    fn search(
-        &self,
-        start: Start<'_>,
-        props: &[&dyn Property],
-        shards: usize,
-        pool: Option<&LazyPool<'_, '_>>,
-    ) -> Exploration {
+    fn search(&self, start: Start<'_>, props: &[&dyn Property]) -> Exploration {
+        let shards = self.opts.shards.unwrap_or(self.opts.threads).max(1);
         let start_time = Instant::now();
         let codec = StateCodec::new(self.rules.topology());
         let reducer = self.opts.reduction.as_deref();
@@ -759,7 +716,10 @@ impl ModelChecker {
             // bytes, so the fired state is not the stored representative.
             ring: Ring::new(if reducer.is_none() { self.opts.frontier_ring } else { 0 }),
             scratch: codec.blank(),
-            flight: Flight { ring: FlightRing::new(self.opts.flight_events), recorder },
+            flight: Flight {
+                ring: FlightRing::new(cxl_telemetry::DEFAULT_FLIGHT_CAPACITY),
+                recorder,
+            },
             clock: PhaseClock::new(recorder.is_some()),
         };
 
@@ -824,7 +784,8 @@ impl ModelChecker {
                 // The black box survives the crash: the checkpointed ring
                 // seeds this session's, sequence numbers keep counting,
                 // and the resume itself becomes the first new event.
-                s.flight.ring = FlightRing::restore(self.opts.flight_events, cp.flight);
+                s.flight.ring =
+                    FlightRing::restore(cxl_telemetry::DEFAULT_FLIGHT_CAPACITY, cp.flight);
                 s.flight.note(FlightKind::Resume, s.depth as u64, s.store.len() as u64, "");
             }
         }
@@ -865,10 +826,13 @@ impl ModelChecker {
         let mut marks = Marks::of(&s);
         let mut prev_reduction = reducer.map(|r| r.stats());
         let mut level_started = Instant::now();
-        // The pool's work gate: a pooled phase costs a submit/wake/drain
-        // round-trip (tens of µs on a loaded host), so narrower levels run
-        // inline.
-        let expand_min = (2 * self.opts.threads).max(PAR_EXPAND_MIN);
+        // The work gate of pooled expansion and checking (see
+        // `PAR_EXPAND_MIN`); one thread never pools.
+        let expand_min = if self.opts.threads > 1 {
+            (2 * self.opts.threads).max(PAR_EXPAND_MIN)
+        } else {
+            usize::MAX
+        };
 
         while !s.frontier.is_empty() {
             if self.opts.max_depth.is_some_and(|md| s.depth >= md) {
@@ -947,165 +911,144 @@ impl ModelChecker {
             // truncated tail is reported rather than silently dropped.
             s.new_indices = Vec::new();
             let mut queue_depths: Vec<u32> = Vec::new();
-            match pool {
-                Some(pool) if s.frontier.len() >= expand_min => {
-                    // Workers decode from shipped bytes and steal no
-                    // decoded successors, so a pooled level neither
-                    // reads nor fills the ring.
-                    let expand_t = s.clock.tick();
-                    let expanded = pool.expand(&s.frontier, &s.store);
+            if s.frontier.len() >= expand_min {
+                // Workers decode from shipped bytes and steal no decoded
+                // successors, so a pooled level neither reads nor fills
+                // the ring.
+                let expand_t = s.clock.tick();
+                let mut expanded = self.expand_pooled(&s.frontier, &s.store);
+                s.clock.tock(Phase::Expand, expand_t);
+                let merge_t = s.clock.tick();
+                // Only a level that provably cannot truncate may dedup
+                // routed: truncation semantics (the over-cap tail,
+                // per-state stop points, the ladder's mid-level rungs) are
+                // inherently sequential. The worst case prices every
+                // message as fresh: its payload plus per-state bookkeeping
+                // (offset slot, index slot, parent link, successor count,
+                // directory entry, queue slot).
+                const PER_STATE_OVERHEAD: usize = 80;
+                let total_msgs: usize = expanded.iter().map(|c| c.items.len()).sum();
+                let payload_bytes: usize = expanded.iter().map(|c| c.buf.len()).sum();
+                let fast = !s.report.truncated
+                    && s.store.len() + total_msgs <= self.opts.max_states
+                    && self.opts.mem_budget.is_none_or(|budget| {
+                        let worst = s.footprint(s.frontier.capacity())
+                            + payload_bytes
+                            + total_msgs * PER_STATE_OVERHEAD;
+                        worst.saturating_mul(10) < budget.saturating_mul(8)
+                    });
+                // Routing only exists to hand each shard's messages to a
+                // worker, so a level with fewer messages than a pooled
+                // phase is worth merges straight from the chunks, which
+                // are already in global order.
+                if fast && total_msgs >= PAR_DEDUP_MIN {
+                    // A routed level cannot stop mid-level, so every
+                    // parent may settle before the dedup.
                     for chunk in &expanded {
                         for (parent, outcome) in &chunk.parents {
                             s.settle(*parent, outcome, &mut cur, false);
                         }
                     }
-                    s.clock.tock(Phase::Expand, expand_t);
-                    let merge_t = s.clock.tick();
-                    // Only a level that provably cannot truncate may
-                    // dedup routed: truncation semantics (the over-cap
-                    // tail, per-state stop points, the ladder's mid-level
-                    // rungs) are inherently sequential. The worst case
-                    // prices every message as fresh: its payload plus
-                    // per-state bookkeeping (offset slot, index slot,
-                    // parent link, successor count, directory entry,
-                    // queue slot).
-                    const PER_STATE_OVERHEAD: usize = 80;
-                    let total_msgs: usize = expanded.iter().map(|c| c.items.len()).sum();
-                    let payload_bytes: usize = expanded.iter().map(|c| c.buf.len()).sum();
-                    let fast = !s.report.truncated
-                        && s.store.len() + total_msgs <= self.opts.max_states
-                        && self.opts.mem_budget.is_none_or(|budget| {
-                            let worst = s.footprint(s.frontier.capacity())
-                                + payload_bytes
-                                + total_msgs * PER_STATE_OVERHEAD;
-                            worst.saturating_mul(10) < budget.saturating_mul(8)
-                        });
-                    // Routing only exists to hand each shard's messages
-                    // to a worker, so a level with fewer messages than
-                    // the pool round-trip is worth merges straight from
-                    // the chunks, which are already in global order.
-                    if fast && total_msgs >= PAR_DEDUP_MIN {
-                        queue_depths =
-                            self.routed_dedup(&mut s, pool, &expanded, total_msgs, payload_bytes);
-                    } else {
-                        'serial: for chunk in &expanded {
-                            for (parent, rule, encoded, fp) in chunk.successors() {
-                                if self.merge(&mut s, props, parent, rule, encoded, fp, None) {
-                                    break 'serial;
-                                }
-                            }
+                    queue_depths = self.routed_dedup(&mut s, &expanded, total_msgs, payload_bytes);
+                } else {
+                    for chunk in &mut expanded {
+                        if self.merge_chunk(&mut s, props, chunk, &mut cur, false) {
+                            break;
                         }
                     }
-                    s.clock.tock(Phase::Merge, merge_t);
                 }
-                _ => {
-                    s.ring.filling = s.ring.on;
-                    // One clock span for the fused pass: per-parent
-                    // timestamps would put two clock reads in the hot
-                    // loop — measurably over the telemetry overhead
-                    // budget — so inline merges count under expand and
-                    // only the pooled arm reports a true expand/merge
-                    // split.
-                    let expand_t = s.clock.tick();
-                    'fused: for j in 0..s.frontier.len() {
-                        let parent = s.frontier[j];
-                        pchunk.parents.clear();
-                        pchunk.items.clear();
-                        pchunk.buf.clear();
-                        let steal_cap = s.ring.steal_cap();
-                        expand_one(
-                            &self.rules,
-                            codec,
-                            self.opts.prune.as_ref(),
-                            reducer,
-                            peer_variants,
-                            parent,
-                            |cur| {
-                                // Ring hit: the frontier is
-                                // gid-consecutive and the ring covers its
-                                // prefix position for position, so the
-                                // parent's decoded form swaps in for
-                                // free; misses (ring shed, resume, a
-                                // level that outgrew the ring) decode
-                                // from the store.
-                                if let Some(slot) = s.ring.cur.get_mut(j) {
-                                    std::mem::swap(cur, slot);
-                                } else {
-                                    s.store.decode_into(parent, cur);
-                                }
-                            },
-                            &mut cur,
-                            &mut fire_scratch,
-                            &mut enc_scratch,
-                            &mut canon_scratch,
-                            steal_cap,
-                            &mut s.ring.spare,
-                            &mut pchunk,
-                        );
-                        // `cur` still holds the decoded parent (firing
-                        // never mutates the source state).
-                        if !s.settle(parent, &pchunk.parents[0].1, &mut cur, true) {
-                            continue;
-                        }
-                        let mut stolen = pchunk.decoded.drain(..);
-                        let mut start = 0usize;
-                        for &(rule, end, fp) in &pchunk.items {
-                            let encoded = &pchunk.buf[start..end];
-                            start = end;
-                            let slot = stolen.next();
-                            if self.merge(&mut s, props, parent, rule, encoded, fp, slot) {
-                                break 'fused;
+                s.clock.tock(Phase::Merge, merge_t);
+            } else {
+                s.ring.filling = s.ring.on;
+                // One clock span for the fused pass: per-parent timestamps
+                // would put two clock reads in the hot loop — measurably
+                // over the telemetry overhead budget — so inline merges
+                // count under expand and only the pooled arm reports a
+                // true expand/merge split.
+                let expand_t = s.clock.tick();
+                for j in 0..s.frontier.len() {
+                    let parent = s.frontier[j];
+                    pchunk.parents.clear();
+                    pchunk.items.clear();
+                    pchunk.buf.clear();
+                    let steal_cap = s.ring.steal_cap();
+                    expand_one(
+                        &self.rules,
+                        codec,
+                        self.opts.prune.as_ref(),
+                        reducer,
+                        peer_variants,
+                        parent,
+                        |cur| {
+                            // Ring hit: the frontier is gid-consecutive
+                            // and the ring covers its prefix position for
+                            // position, so the parent's decoded form swaps
+                            // in for free; misses (ring shed, resume, a
+                            // level that outgrew the ring) decode from the
+                            // store.
+                            if let Some(slot) = s.ring.cur.get_mut(j) {
+                                std::mem::swap(cur, slot);
+                            } else {
+                                s.store.decode_into(parent, cur);
                             }
-                        }
+                        },
+                        &mut cur,
+                        &mut fire_scratch,
+                        &mut enc_scratch,
+                        &mut canon_scratch,
+                        steal_cap,
+                        &mut s.ring.spare,
+                        &mut pchunk,
+                    );
+                    // `cur` still holds the decoded parent (firing never
+                    // mutates the source state).
+                    if self.merge_chunk(&mut s, props, &mut pchunk, &mut cur, true) {
+                        break;
                     }
-                    s.clock.tock(Phase::Expand, expand_t);
                 }
+                s.clock.tock(Phase::Expand, expand_t);
             }
 
             let mut stop_violations = self.violation_cap(&s.report);
 
-            // Property checking over freshly committed states — across
-            // the pool when it pays, with violations applied in
+            // Property checking over freshly committed states — on
+            // scoped workers when it pays, with violations applied in
             // deterministic discovery order either way.
             if !stop_violations && !props.is_empty() && !s.new_indices.is_empty() {
                 let check_t = s.clock.tick();
-                match pool {
-                    Some(pool) if s.new_indices.len() >= expand_min => {
-                        let mut found = pool.check(&s.new_indices, &s.store);
-                        found.sort_by_key(|&(id, prop_idx, _)| (id, prop_idx));
-                        for (id, prop_idx, detail) in found {
-                            s.report.violations.push(Violation {
-                                property: props[prop_idx].name().to_string(),
-                                detail,
-                                trace: rebuild_trace(id, &s.store, &s.parents),
-                            });
-                            if s.report.violations.len() >= self.opts.max_violations {
-                                stop_violations = true;
-                                break;
-                            }
+                if s.new_indices.len() >= expand_min {
+                    let found = self.check_pooled(&s.new_indices, &s.store, props);
+                    for (id, prop_idx, detail) in found {
+                        s.report.violations.push(Violation {
+                            property: props[prop_idx].name().to_string(),
+                            detail,
+                            trace: rebuild_trace(id, &s.store, &s.parents),
+                        });
+                        if s.report.violations.len() >= self.opts.max_violations {
+                            stop_violations = true;
+                            break;
                         }
                     }
-                    _ => {
-                        for (k, &id) in s.new_indices.iter().enumerate() {
-                            // The ring still holds this level's stored
-                            // states decoded (it rotates only at level
-                            // end): `next[k]` is the k-th. Past its
-                            // prefix, decode into the reused scratch.
-                            let st: &SystemState = match s.ring.next.get(k) {
-                                Some(st) => {
-                                    debug_assert!(**st == s.store.decode(id), "ring out of step");
-                                    st
-                                }
-                                None => {
-                                    s.store.decode_into(id, &mut s.scratch);
-                                    &s.scratch
-                                }
-                            };
-                            self.check_state(id, st, &s.store, &s.parents, props, &mut s.report);
-                            if self.violation_cap(&s.report) {
-                                stop_violations = true;
-                                break;
+                } else {
+                    for (k, &id) in s.new_indices.iter().enumerate() {
+                        // The ring still holds this level's stored states
+                        // decoded (it rotates only at level end):
+                        // `next[k]` is the k-th. Past its prefix, decode
+                        // into the reused scratch.
+                        let st: &SystemState = match s.ring.next.get(k) {
+                            Some(st) => {
+                                debug_assert!(**st == s.store.decode(id), "ring out of step");
+                                st
                             }
+                            None => {
+                                s.store.decode_into(id, &mut s.scratch);
+                                &s.scratch
+                            }
+                        };
+                        self.check_state(id, st, &s.store, &s.parents, props, &mut s.report);
+                        if self.violation_cap(&s.report) {
+                            stop_violations = true;
+                            break;
                         }
                     }
                 }
@@ -1266,6 +1209,37 @@ impl ModelChecker {
         Exploration { report, arena: s.store.into_arena(), successor_counts: s.succ_counts }
     }
 
+    /// Merge an expanded chunk serially, parent by parent in frontier
+    /// order: settle each parent at its turn ([`Search::settle`]), then
+    /// merge its successors ([`Self::merge`]), handing each the decoded
+    /// form expansion stole for it. A level the violation cap stops
+    /// therefore leaves every later parent unexpanded, whatever arm ran
+    /// it. `decoded` says whether `cur` holds the chunk's (single)
+    /// parent. Returns `true` when the violation cap stops the level.
+    fn merge_chunk(
+        &self,
+        s: &mut Search<'_>,
+        props: &[&dyn Property],
+        chunk: &mut ExpandedChunk,
+        cur: &mut SystemState,
+        decoded: bool,
+    ) -> bool {
+        let mut stolen = chunk.decoded.drain(..);
+        let mut items = chunk.items.iter();
+        let mut start = 0usize;
+        for (parent, outcome) in &chunk.parents {
+            let emitted = s.settle(*parent, outcome, cur, decoded);
+            for &(rule, end, fp) in items.by_ref().take(emitted) {
+                let encoded = &chunk.buf[start..end];
+                start = end;
+                if self.merge(s, props, *parent, rule, encoded, fp, stolen.next()) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
     /// Merge one successor at its global turn — the single per-successor
     /// step of every serial merge, fused or pooled: count the transition,
     /// dedup in the owning shard, store and link a fresh state, fill the
@@ -1347,14 +1321,13 @@ impl ModelChecker {
     /// A pooled level's parallel dedup, for levels that provably cannot
     /// truncate. Routes every successor, in global sequence order
     /// (frontier order × successor order), to its owning shard's inbox;
-    /// drains each inbox on a worker that owns the shard for the job;
+    /// drains each inbox on a worker that borrows the shard for the job;
     /// then commits the fresh states in sequence order, which assigns the
     /// global ids a serial merge would. Returns the per-shard inbox
     /// depths.
     fn routed_dedup(
         &self,
         s: &mut Search<'_>,
-        pool: &LazyPool<'_, '_>,
         expanded: &[ExpandedChunk],
         total_msgs: usize,
         payload_bytes: usize,
@@ -1391,29 +1364,21 @@ impl ModelChecker {
             .map(|inbox| u32::try_from(inbox.msgs.len()).unwrap_or(u32::MAX))
             .collect();
 
-        // Shard state is *moved* into the job and back out — the owning
-        // worker holds the only reference, so no lock guards the index
-        // or the segment.
-        let jobs: Vec<Job> = inboxes
-            .into_iter()
-            .enumerate()
-            .map(|(shard, inbox)| Job::Dedup {
-                shard,
-                state: Box::new(s.store.take_shard(shard)),
-                inbox,
-            })
-            .collect();
-        let mut fresh: Vec<(usize, FreshSucc)> = Vec::new();
-        for result in pool.submit_and_wait(jobs) {
-            let JobResult::Deduped { shard, state, fresh: f } = result else {
-                unreachable!("dedup received a foreign result")
-            };
-            s.store.put_shard(shard, *state);
-            fresh.extend(f.into_iter().map(|x| (shard, x)));
-        }
+        // Each job borrows its shard as `&mut`: the worker draining an
+        // inbox holds the only reference to that shard's index and
+        // segment, so no lock guards them.
+        let jobs: Vec<(&mut ShardState, Inbox)> = s.store.shards.iter_mut().zip(inboxes).collect();
+        let per_shard = run(self.opts.threads, jobs, || {
+            |(shard, inbox): (&mut ShardState, Inbox)| dedup_into_shard(shard, &inbox)
+        });
 
         // Commit. Per-shard fresh lists are already seq-sorted, so this
         // sort is a merge.
+        let mut fresh: Vec<(usize, FreshSucc)> = per_shard
+            .into_iter()
+            .enumerate()
+            .flat_map(|(shard, f)| f.into_iter().map(move |x| (shard, x)))
+            .collect();
         fresh.sort_unstable_by_key(|(_, f)| f.seq);
         for (shard, f) in fresh {
             let gid = s.store.commit(shard, f.slot);
@@ -1489,277 +1454,145 @@ impl ModelChecker {
 }
 
 // ---------------------------------------------------------------------
-// The persistent worker pool.
+// Scoped phase workers.
 // ---------------------------------------------------------------------
 
-/// A unit of work handed to the pool. Both variants ship states as packed
-/// bytes: the driver never decodes on behalf of the workers, and the
-/// workers never see the arena.
-enum Job {
-    /// Expand a chunk of frontier states (arena ids + packed bytes).
-    Expand { chunk: usize, items: StateBatch },
-    /// Property-check a chunk of freshly stored states.
-    Check { chunk: usize, items: StateBatch },
-    /// Drain a shard's inbox inside its owned (index, segment) pair.
-    /// The shard state *moves* through the queue: while the job runs the
-    /// worker is the sole owner, so dedup and insertion are lock-free.
-    Dedup { shard: usize, state: Box<ShardState>, inbox: Inbox },
-}
-
-/// A finished unit of work.
-enum JobResult {
-    /// The chunk's successors, encoded + fingerprinted, in SoA layout.
-    Expanded { chunk: usize, out: ExpandedChunk },
-    /// `(state id, property index, violation detail)` triples.
-    Checked { chunk: usize, out: Vec<(usize, usize, String)> },
-    /// The shard's state handed back to the driver, plus the genuinely
-    /// fresh states it stored (seq-tagged for deterministic commit).
-    Deduped { shard: usize, state: Box<ShardState>, fresh: Vec<FreshSucc> },
-}
-
-struct JobQueue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// State shared between the driver and the persistent workers. Workers
-/// are spawned once per [`ModelChecker::explore`] call inside a
-/// [`std::thread::scope`] and live for the whole search — no per-level
-/// thread spawning, no per-level lock on a merged output vector.
-struct PoolShared<'a> {
-    rules: &'a Ruleset,
-    codec: StateCodec,
-    prune: Option<&'a Prune>,
-    reducer: Option<&'a dyn Reducer>,
-    props: &'a [&'a dyn Property],
-    queue: Mutex<JobQueue>,
-    work_cv: Condvar,
-    results: Mutex<Vec<JobResult>>,
-    done_cv: Condvar,
-}
-
-impl<'a> PoolShared<'a> {
-    fn new(
-        rules: &'a Ruleset,
-        prune: Option<&'a Prune>,
-        reducer: Option<&'a dyn Reducer>,
-        props: &'a [&'a dyn Property],
-    ) -> Self {
-        PoolShared {
-            rules,
-            codec: StateCodec::new(rules.topology()),
-            prune,
-            reducer,
-            props,
-            queue: Mutex::new(JobQueue { jobs: VecDeque::new(), shutdown: false }),
-            work_cv: Condvar::new(),
-            results: Mutex::new(Vec::new()),
-            done_cv: Condvar::new(),
-        }
+impl ModelChecker {
+    /// Expand a frontier on scoped workers, returning one successor chunk
+    /// per job in frontier order. Each job ships its states' packed bytes
+    /// out of the store in one batched buffer — a few dozen bytes per
+    /// state, zero per-state allocations — and each worker keeps one
+    /// decoded parent, one firing scratch, and two encoding buffers for
+    /// the phase.
+    fn expand_pooled(&self, frontier: &[usize], store: &ShardedStore) -> Vec<ExpandedChunk> {
+        let (rules, codec, prune) = (&self.rules, store.codec, self.opts.prune.as_ref());
+        let reducer = self.opts.reduction.as_deref();
+        let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
+        let jobs = frontier
+            .chunks(chunk_size(frontier.len()))
+            .map(|ids| StateBatch::of(ids, store))
+            .collect();
+        run(self.opts.threads, jobs, || {
+            let mut cur = Box::new(codec.blank());
+            let mut fire_scratch = codec.blank();
+            let mut enc_scratch: Vec<u8> = Vec::new();
+            let mut canon_scratch: Vec<u8> = Vec::new();
+            // Workers never steal decoded successors (steal cap 0): the
+            // ring only serves inline levels, and shipping decoded states
+            // back would cost more than the decode it saves.
+            let mut no_spare: Vec<Box<SystemState>> = Vec::new();
+            move |batch: StateBatch| {
+                let mut out = ExpandedChunk {
+                    parents: Vec::with_capacity(batch.ids.len()),
+                    ..ExpandedChunk::default()
+                };
+                for (id, encoded) in batch.iter() {
+                    expand_one(
+                        rules,
+                        codec,
+                        prune,
+                        reducer,
+                        peer_variants,
+                        id,
+                        |cur| {
+                            codec
+                                .decode_into(encoded, cur)
+                                .expect("driver ships codec output");
+                        },
+                        &mut cur,
+                        &mut fire_scratch,
+                        &mut enc_scratch,
+                        &mut canon_scratch,
+                        0,
+                        &mut no_spare,
+                        &mut out,
+                    );
+                }
+                out
+            }
+        })
     }
 
-    fn shutdown(&self) {
-        self.queue.lock().expect("queue poisoned").shutdown = true;
-        self.work_cv.notify_all();
-    }
-
-    /// Worker body: pull jobs until shutdown, reusing one decoded-state
-    /// buffer, one rule-firing scratch, and one canonicalization buffer
-    /// across all jobs (the per-worker working set of the frontier
-    /// pipeline).
-    fn worker_loop(&self) {
-        let mut cur = Box::new(self.codec.blank());
-        let mut fire_scratch = self.codec.blank();
-        let mut enc_scratch: Vec<u8> = Vec::new();
-        let mut canon_scratch: Vec<u8> = Vec::new();
-        let peer_variants = self.reducer.is_some_and(Reducer::wants_peer_variants);
-        loop {
-            let job = {
-                let mut q = self.queue.lock().expect("queue poisoned");
-                loop {
-                    if let Some(job) = q.jobs.pop_front() {
-                        break job;
-                    }
-                    if q.shutdown {
-                        return;
-                    }
-                    q = self.work_cv.wait(q).expect("queue poisoned");
-                }
-            };
-            let result = match job {
-                Job::Expand { chunk, items } => {
-                    // Supervised expansion through the shared expansion
-                    // body ([`expand_one`]): a panic in decode, prune, or
-                    // the rule engine poisons that one item — the worker
-                    // re-blanks its scratch and keeps serving the queue;
-                    // the driver quarantines the state.
-                    let mut out = ExpandedChunk {
-                        parents: Vec::with_capacity(items.ids.len()),
-                        items: Vec::new(),
-                        buf: Vec::new(),
-                        decoded: Vec::new(),
-                    };
-                    // Workers never steal decoded successors (steal cap
-                    // 0): the driver's ring only serves *inline* levels,
-                    // and shipping decoded states back across the queue
-                    // would cost more than the decode it saves.
-                    let mut no_spare: Vec<Box<SystemState>> = Vec::new();
-                    for (id, encoded) in items.iter() {
-                        expand_one(
-                            self.rules,
-                            self.codec,
-                            self.prune,
-                            self.reducer,
-                            peer_variants,
-                            id,
-                            |cur| {
-                                self.codec
-                                    .decode_into(encoded, cur)
-                                    .expect("driver ships codec output");
-                            },
-                            &mut cur,
-                            &mut fire_scratch,
-                            &mut enc_scratch,
-                            &mut canon_scratch,
-                            0,
-                            &mut no_spare,
-                            &mut out,
-                        );
-                    }
-                    JobResult::Expanded { chunk, out }
-                }
-                Job::Check { chunk, items } => {
-                    let mut out = Vec::new();
-                    for (id, encoded) in items.iter() {
-                        self.codec
-                            .decode_into(encoded, &mut cur)
-                            .expect("driver ships codec output");
-                        for (prop_idx, p) in self.props.iter().enumerate() {
-                            if let crate::property::PropertyOutcome::Violated(detail) =
-                                p.check(&cur)
-                            {
-                                out.push((id, prop_idx, detail));
-                            }
+    /// Property-check freshly stored states on scoped workers, returning
+    /// `(state id, property index, detail)` triples in discovery order.
+    fn check_pooled(
+        &self,
+        ids: &[usize],
+        store: &ShardedStore,
+        props: &[&dyn Property],
+    ) -> Vec<(usize, usize, String)> {
+        let codec = store.codec;
+        let jobs = ids
+            .chunks(chunk_size(ids.len()))
+            .map(|ids| StateBatch::of(ids, store))
+            .collect();
+        let found = run(self.opts.threads, jobs, || {
+            let mut cur = codec.blank();
+            move |batch: StateBatch| {
+                let mut out = Vec::new();
+                for (id, encoded) in batch.iter() {
+                    codec
+                        .decode_into(encoded, &mut cur)
+                        .expect("driver ships codec output");
+                    for (prop_idx, p) in props.iter().enumerate() {
+                        if let crate::property::PropertyOutcome::Violated(detail) = p.check(&cur) {
+                            out.push((id, prop_idx, detail));
                         }
                     }
-                    JobResult::Checked { chunk, out }
                 }
-                Job::Dedup { shard, mut state, inbox } => {
-                    let fresh = dedup_into_shard(&mut state, &inbox);
-                    JobResult::Deduped { shard, state, fresh }
-                }
-            };
-            self.results.lock().expect("results poisoned").push(result);
-            self.done_cv.notify_all();
-        }
-    }
-
-    /// Enqueue `jobs` and block until all have completed.
-    fn submit_and_wait(&self, jobs: Vec<Job>) -> Vec<JobResult> {
-        let n = jobs.len();
-        {
-            let mut q = self.queue.lock().expect("queue poisoned");
-            q.jobs.extend(jobs);
-        }
-        self.work_cv.notify_all();
-        let mut results = self.results.lock().expect("results poisoned");
-        while results.len() < n {
-            results = self.done_cv.wait(results).expect("results poisoned");
-        }
-        std::mem::take(&mut *results)
-    }
-
-    /// Chunk size balancing queue overhead against load balance.
-    fn chunk_size(len: usize) -> usize {
-        (len / 64).clamp(16, 512)
-    }
-
-    /// Expand a frontier across the pool, returning one successor chunk
-    /// per job in frontier order (deterministic merge by chunk index).
-    /// The outbound protocol copies each chunk's packed state bytes out
-    /// of the store into one batched buffer — a few dozen bytes per
-    /// state, zero per-state allocations.
-    fn expand(&self, frontier: &[usize], store: &dyn StateStore) -> Vec<ExpandedChunk> {
-        let chunk_size = Self::chunk_size(frontier.len());
-        let jobs: Vec<Job> = frontier
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(chunk, ids)| Job::Expand { chunk, items: StateBatch::of(ids, store) })
-            .collect();
-        let mut results = self.submit_and_wait(jobs);
-        results.sort_by_key(|r| match r {
-            JobResult::Expanded { chunk, .. } | JobResult::Checked { chunk, .. } => *chunk,
-            JobResult::Deduped { .. } => unreachable!("expand received a dedup result"),
-        });
-        results
-            .into_iter()
-            .map(|r| match r {
-                JobResult::Expanded { out, .. } => out,
-                JobResult::Checked { .. } | JobResult::Deduped { .. } => {
-                    unreachable!("expand received a foreign result")
-                }
-            })
-            .collect()
-    }
-
-    /// Property-check freshly stored states across the pool, returning
-    /// `(state id, property index, detail)` triples (unordered; the
-    /// driver sorts by discovery order).
-    fn check(&self, ids: &[usize], store: &dyn StateStore) -> Vec<(usize, usize, String)> {
-        let chunk_size = Self::chunk_size(ids.len());
-        let jobs: Vec<Job> = ids
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(chunk, ids)| Job::Check { chunk, items: StateBatch::of(ids, store) })
-            .collect();
-        self.submit_and_wait(jobs)
-            .into_iter()
-            .flat_map(|r| match r {
-                JobResult::Checked { out, .. } => out,
-                JobResult::Expanded { .. } | JobResult::Deduped { .. } => {
-                    unreachable!("check received a foreign result")
-                }
-            })
-            .collect()
-    }
-}
-
-/// A worker pool whose threads spawn on first use. The search's
-/// phase gates are work-based, so a run whose levels are all narrow
-/// enough to process inline never submits a job — and with this wrapper
-/// it never pays thread spawn/join either (on an oversold single-core
-/// host that round-trip alone is a measurable slice of a small check).
-struct LazyPool<'scope, 'env> {
-    shared: &'scope PoolShared<'env>,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    threads: usize,
-    spawned: Cell<bool>,
-}
-
-impl LazyPool<'_, '_> {
-    fn ensure_spawned(&self) {
-        if !self.spawned.replace(true) {
-            for _ in 0..self.threads {
-                let shared = self.shared;
-                self.scope.spawn(move || shared.worker_loop());
+                out
             }
-        }
+        });
+        found.into_iter().flatten().collect()
     }
+}
 
-    fn expand(&self, frontier: &[usize], store: &dyn StateStore) -> Vec<ExpandedChunk> {
-        self.ensure_spawned();
-        self.shared.expand(frontier, store)
-    }
+/// States per job of a pooled expand or check phase, balancing hand-out
+/// overhead against load balance.
+fn chunk_size(len: usize) -> usize {
+    (len / 64).clamp(16, 512)
+}
 
-    fn submit_and_wait(&self, jobs: Vec<Job>) -> Vec<JobResult> {
-        self.ensure_spawned();
-        self.shared.submit_and_wait(jobs)
-    }
-
-    fn check(&self, ids: &[usize], store: &dyn StateStore) -> Vec<(usize, usize, String)> {
-        self.ensure_spawned();
-        self.shared.check(ids, store)
-    }
+/// Run one pooled phase: `jobs` on up to `threads` scoped workers, with
+/// the results returned in job order. Each worker builds its job body
+/// with `worker` (which owns that worker's scratch for the phase), then
+/// takes jobs one at a time from one in-order hand-out until it runs
+/// dry. The workers exist only for this call, and a panic on any of
+/// them resumes on the caller once every worker has stopped, so a
+/// pooled run fails as a one-thread run does.
+fn run<J: Send, R: Send, W: FnMut(J) -> R>(
+    threads: usize,
+    jobs: Vec<J>,
+    worker: impl Fn() -> W + Sync,
+) -> Vec<R> {
+    let workers = threads.min(jobs.len());
+    let handout = Mutex::new(jobs.into_iter().enumerate());
+    // The guard drops before the job runs, so workers only serialize on
+    // taking a job.
+    let next = || handout.lock().expect("job hand-out poisoned").next();
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut work = worker();
+                    let mut out = Vec::new();
+                    while let Some((i, job)) = next() {
+                        out.push((i, work(job)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1807,7 +1640,7 @@ impl Search<'_> {
     fn footprint(&self, queue_slots: usize) -> usize {
         let store = &self.store;
         let mut total = store.dir.capacity() * std::mem::size_of::<(u32, u32)>();
-        for shard in store.shards.iter().flatten() {
+        for shard in &store.shards {
             total += shard.segment.approx_heap_bytes() + shard.index.approx_heap_bytes();
         }
         total
@@ -1838,20 +1671,20 @@ impl Search<'_> {
     /// Record one parent's expansion outcome: its successor count and
     /// terminal or deadlock status, or its quarantine. `decoded` says
     /// whether `cur` already holds the parent (it is decoded here only
-    /// when the parent turns out terminal). Returns whether the parent
-    /// expanded.
+    /// when the parent turns out terminal). Returns how many successors
+    /// the parent emitted (none when it was quarantined).
     fn settle(
         &mut self,
         parent: usize,
         outcome: &Outcome,
         cur: &mut SystemState,
         decoded: bool,
-    ) -> bool {
+    ) -> usize {
         match outcome {
             Outcome::Poisoned(message) => {
                 self.flight.note(FlightKind::Quarantine, parent as u64, 0, message);
                 self.report.quarantined.push(quarantine_of(parent, &self.store, message.clone()));
-                false
+                0
             }
             Outcome::Succs(n) => {
                 self.succ_counts[parent] = (*n).min(u32::MAX - 1);
@@ -1868,7 +1701,7 @@ impl Search<'_> {
                         self.report.deadlocks.push(Deadlock { trace });
                     }
                 }
-                true
+                *n as usize
             }
         }
     }
@@ -1934,7 +1767,7 @@ struct Flight<'r> {
 }
 
 impl Flight<'_> {
-    /// Record an event (a no-op when the ring's capacity is 0).
+    /// Record an event.
     fn note(&mut self, kind: FlightKind, a: u64, b: u64, detail: &str) {
         if let Some(event) = self.ring.push(kind, a, b, detail) {
             if let Some(rec) = self.recorder {
@@ -2069,8 +1902,8 @@ impl Ring {
 
 /// Read access to stored states by global (discovery-order) id — the
 /// search's [`ShardedStore`] and a plain [`StateArena`] — so trace
-/// rebuilding, quarantines, property checks, the pool's chunk protocol,
-/// and the checkpoint encoder read either.
+/// rebuilding, quarantines, property checks, the batches shipped to
+/// workers, and the checkpoint encoder read either.
 pub(crate) trait StateStore {
     /// Number of stored states.
     fn len(&self) -> usize;
@@ -2104,9 +1937,9 @@ impl StateStore for StateArena {
 }
 
 /// One shard of the visited set: a private dedup index over a private
-/// packed-state segment. The pair moves wholesale through the job queue,
-/// so the worker draining a shard's inbox mutates both as the sole owner
-/// — no shared visited set, no lock, no atomics.
+/// packed-state segment. A dedup job borrows the pair as `&mut`, so the
+/// worker draining a shard's inbox mutates both as the sole owner — no
+/// shared visited set, no lock, no atomics.
 struct ShardState {
     index: FpIndex,
     segment: StateArena,
@@ -2117,14 +1950,9 @@ struct ShardState {
 /// ids to `(shard, slot)`; a single shard needs none — its segment holds
 /// every state in discovery order, so the global id is the slot and the
 /// segment *is* the arena.
-///
-/// Shards are held in `Option`s so [`Self::take_shard`] can move a
-/// shard's state into a [`Job::Dedup`] and [`Self::put_shard`] can slot
-/// it back when the result returns; outside a dedup barrier every shard
-/// is home.
 struct ShardedStore {
     codec: StateCodec,
-    shards: Vec<Option<ShardState>>,
+    shards: Vec<ShardState>,
     dir: Vec<(u32, u32)>,
 }
 
@@ -2133,8 +1961,9 @@ impl ShardedStore {
         ShardedStore {
             codec,
             shards: (0..shards.max(1))
-                .map(|_| {
-                    Some(ShardState { index: FpIndex::new(), segment: StateArena::new(codec) })
+                .map(|_| ShardState {
+                    index: FpIndex::new(),
+                    segment: StateArena::new(codec),
                 })
                 .collect(),
             dir: Vec::new(),
@@ -2154,12 +1983,15 @@ impl ShardedStore {
                 let slot = u32::try_from(i).expect("state count fits u32");
                 index.insert(fp, slot, |id| arena.bytes_of(id as usize) == arena.bytes_of(i));
             }
-            store.shards[0] = Some(ShardState { index, segment: arena });
+            store.shards[0] = ShardState {
+                index,
+                segment: arena,
+            };
             return store;
         }
         for (gid, &fp) in fps.iter().enumerate() {
             let s = shard_of(fp, shards);
-            let ShardState { index, segment } = store.shard_mut(s);
+            let ShardState { index, segment } = &mut store.shards[s];
             let slot = u32::try_from(segment.len()).expect("state count fits u32");
             index.insert(fp, slot, |id| segment.bytes_of(id as usize) == arena.bytes_of(gid));
             segment.push_encoded(arena.bytes_of(gid));
@@ -2172,7 +2004,7 @@ impl ShardedStore {
     /// Deltas are shard-local: a successor compresses against its BFS
     /// parent only when the parent landed in the same shard.
     fn arm(&mut self, delta_keyframe: u32, spill_dir: Option<&Path>) {
-        for (i, shard) in self.shards.iter_mut().flatten().enumerate() {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
             if delta_keyframe > 0 {
                 shard.segment.enable_delta(delta_keyframe);
             }
@@ -2182,25 +2014,6 @@ impl ShardedStore {
                 let _ = shard.segment.enable_spill(dir, &format!("shard{i}"));
             }
         }
-    }
-
-    fn shard(&self, s: usize) -> &ShardState {
-        self.shards[s].as_ref().expect("shard is home")
-    }
-
-    fn shard_mut(&mut self, s: usize) -> &mut ShardState {
-        self.shards[s].as_mut().expect("shard is home")
-    }
-
-    /// Move shard `s`'s state out, to ship through the job queue.
-    fn take_shard(&mut self, s: usize) -> ShardState {
-        self.shards[s].take().expect("shard is home")
-    }
-
-    /// Return shard `s`'s state after a dedup job.
-    fn put_shard(&mut self, s: usize, state: ShardState) {
-        debug_assert!(self.shards[s].is_none(), "shard returned twice");
-        self.shards[s] = Some(state);
     }
 
     /// Where global id `gid` lives: `(shard, slot)`.
@@ -2230,7 +2043,7 @@ impl ShardedStore {
     fn insert(&mut self, fp: u64, encoded: &[u8], parent: Option<usize>) -> Option<usize> {
         let s = shard_of(fp, self.shards.len());
         let base = parent.map(|p| self.locate(p)).filter(|&(ps, _)| ps == s);
-        let ShardState { index, segment } = self.shard_mut(s);
+        let ShardState { index, segment } = &mut self.shards[s];
         let slot = u32::try_from(segment.len()).expect("state count fits u32");
         if index.insert(fp, slot, |id| segment.entry_matches(id as usize, encoded)).is_some() {
             return None;
@@ -2241,13 +2054,13 @@ impl ShardedStore {
 
     /// Is `encoded` already stored? A read-only probe of its owner.
     fn contains(&self, fp: u64, encoded: &[u8]) -> bool {
-        let ShardState { index, segment } = self.shard(shard_of(fp, self.shards.len()));
+        let ShardState { index, segment } = &self.shards[shard_of(fp, self.shards.len())];
         index.probe(fp, |id| segment.entry_matches(id as usize, encoded)).is_some()
     }
 
     /// The degradation ladder's shed step, per shard.
     fn shrink_to_fit(&mut self) {
-        for shard in self.shards.iter_mut().flatten() {
+        for shard in self.shards.iter_mut() {
             shard.index.shrink_to_fit();
             shard.segment.shrink_to_fit();
         }
@@ -2255,25 +2068,34 @@ impl ShardedStore {
     }
 
     fn spill_armed(&self) -> bool {
-        self.shards.iter().flatten().any(|s| s.segment.spill_armed())
+        self.shards.iter().any(|s| s.segment.spill_armed())
     }
 
     /// Total resident payload bytes across shard segments — the spill
     /// watermark's input.
     fn resident_payload_bytes(&self) -> usize {
-        self.shards.iter().flatten().map(|s| s.segment.resident_payload_bytes()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.segment.resident_payload_bytes())
+            .sum()
     }
 
     /// Run-total (sealed, faulted) extent counters over all segments.
     fn spill_counts(&self) -> (u64, u64) {
-        self.shards.iter().flatten().fold((0, 0), |(sealed, faulted), s| {
-            (sealed + s.segment.spilled_extents(), faulted + s.segment.faulted_extents())
+        self.shards.iter().fold((0, 0), |(sealed, faulted), s| {
+            (
+                sealed + s.segment.spilled_extents(),
+                faulted + s.segment.faulted_extents(),
+            )
         })
     }
 
     /// States stored as parent-deltas, over all segments.
     fn delta_entries(&self) -> u64 {
-        self.shards.iter().flatten().map(|s| s.segment.delta_entries() as u64).sum()
+        self.shards
+            .iter()
+            .map(|s| s.segment.delta_entries() as u64)
+            .sum()
     }
 
     /// Seal every shard's entries below the current frontier (global
@@ -2285,21 +2107,15 @@ impl ShardedStore {
         if !self.spill_armed() {
             return;
         }
-        let mut floors: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |s| s.segment.len()))
-            .collect();
+        let mut floors: Vec<usize> = self.shards.iter().map(|s| s.segment.len()).collect();
         for &gid in frontier {
             let (s, slot) = self.locate(gid);
             // Seal below the frontier's keyframe-chain roots, not its
             // raw slots, so expanding the frontier never faults.
-            floors[s] = floors[s].min(self.shard(s).segment.decode_floor(slot));
+            floors[s] = floors[s].min(self.shards[s].segment.decode_floor(slot));
         }
         for (shard, floor) in self.shards.iter_mut().zip(floors) {
-            if let Some(shard) = shard {
-                let _ = shard.segment.spill_cold(floor);
-            }
+            let _ = shard.segment.spill_cold(floor);
         }
     }
 
@@ -2308,8 +2124,7 @@ impl ShardedStore {
     /// 0% is a perfectly even partition; the fingerprint routing keeps
     /// this small for any workload big enough to matter.
     fn imbalance_pct(&self) -> f64 {
-        let lens: Vec<usize> =
-            self.shards.iter().flatten().map(|s| s.segment.len()).collect();
+        let lens: Vec<usize> = self.shards.iter().map(|s| s.segment.len()).collect();
         if lens.is_empty() {
             return 0.0;
         }
@@ -2327,11 +2142,11 @@ impl ShardedStore {
     /// shard would hold, so the result is shard-count-free.
     fn into_arena(mut self) -> StateArena {
         if self.shards.len() == 1 {
-            return self.take_shard(0).segment;
+            return self.shards.swap_remove(0).segment;
         }
         let mut arena = StateArena::with_capacity(self.codec, self.dir.len(), self.full_payload_bytes());
         for &(s, slot) in &self.dir {
-            arena.push_full_from(&self.shard(s as usize).segment, slot as usize);
+            arena.push_full_from(&self.shards[s as usize].segment, slot as usize);
         }
         arena
     }
@@ -2340,25 +2155,28 @@ impl ShardedStore {
 impl StateStore for ShardedStore {
     fn len(&self) -> usize {
         if self.shards.len() == 1 {
-            self.shard(0).segment.len()
+            self.shards[0].segment.len()
         } else {
             self.dir.len()
         }
     }
     fn full_payload_bytes(&self) -> usize {
-        self.shards.iter().flatten().map(|s| s.segment.full_payload_bytes()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.segment.full_payload_bytes())
+            .sum()
     }
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
         let (s, slot) = self.locate(id);
-        self.shard(s).segment.append_full_bytes(slot, out);
+        self.shards[s].segment.append_full_bytes(slot, out);
     }
     fn decode(&self, id: usize) -> SystemState {
         let (s, slot) = self.locate(id);
-        self.shard(s).segment.decode(slot)
+        self.shards[s].segment.decode(slot)
     }
     fn decode_into(&self, id: usize, out: &mut SystemState) {
         let (s, slot) = self.locate(id);
-        self.shard(s).segment.decode_into(slot, out);
+        self.shards[s].segment.decode_into(slot, out);
     }
 }
 
@@ -2455,7 +2273,7 @@ fn emit_succ(
 }
 
 /// Expand one frontier state into `chunk` — the single expansion body
-/// shared by the driver's inline path and the pool workers (same
+/// shared by the driver's inline path and the workers (same
 /// supervision, same reduction path, same output layout).
 ///
 /// `decode` materializes the parent into `cur` and runs *inside* the

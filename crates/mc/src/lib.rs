@@ -20,14 +20,20 @@
 //!   with successors routed as packed-bytes messages by
 //!   [`cxl_core::shard_of`] — no shared visited set, no locks or atomics
 //!   on dedup, and bit-identical results at any shard count. One shard
-//!   and no worker pool is the sequential search;
+//!   and one thread is the sequential search; with more threads a wide
+//!   level's expansion, dedup and property check each run on scoped
+//!   workers that exist only for that phase, a dedup job borrowing its
+//!   shard as `&mut`;
 //! - a decoded-frontier ring ([`CheckOptions::frontier_ring`]) that
 //!   keeps the current BFS level decoded, trading bounded memory for
 //!   skipped per-expansion decodes;
 //! - a resilience layer for long campaigns: periodic atomic
 //!   [`Checkpoint`]s with exact resume ([`ModelChecker::explore_resumed`]),
-//!   panic-isolated workers that quarantine poison states instead of
-//!   crashing, a wall-clock [`CheckOptions::time_budget`] watchdog, and a
+//!   panic-isolated expansion that quarantines poison states instead of
+//!   crashing (any other panic — a [`Property`]'s, a dedup probe's, the
+//!   driver's — ends [`ModelChecker::explore`] with that panic at every
+//!   thread count), a wall-clock [`CheckOptions::time_budget`] watchdog,
+//!   and a
 //!   graceful-degradation ladder under [`CheckOptions::mem_budget`]
 //!   pressure (shed → emergency checkpoint → truncate, every step
 //!   recorded in [`Report::sheds`]);

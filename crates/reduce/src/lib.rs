@@ -164,7 +164,7 @@ impl ReductionStats {
 }
 
 /// The reduction interface the model checker drives. Implementations
-/// must be thread-safe: the checker's worker pool calls
+/// must be thread-safe: the checker's workers call
 /// [`Reducer::ample_step`] and [`Reducer::canonicalize`] concurrently.
 pub trait Reducer: Send + Sync + fmt::Debug {
     /// Must the checker expand frontiers over the equivariant successor

@@ -71,8 +71,8 @@ impl Universe {
     }
 
     /// [`Self::reachable`] under explicit exploration options — e.g. a
-    /// thread count, which hands each scenario's expansion to the model
-    /// checker's persistent worker pool.
+    /// thread count, which expands each scenario's wide levels on the
+    /// model checker's scoped workers.
     ///
     /// Initial states are built for the rule set's own device count:
     /// devices beyond the two programmed ones start idle, so the

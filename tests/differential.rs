@@ -2,8 +2,8 @@
 //! retained naive reference implementation.
 //!
 //! The PR that introduced fingerprinted dedup, guard-prefiltered
-//! `successors_into`, terminal-count bookkeeping, and the persistent
-//! parallel worker pool claims **bit-identical semantics** with the
+//! `successors_into`, terminal-count bookkeeping, and parallel
+//! expansion on worker threads claims **bit-identical semantics** with the
 //! original checker. These tests hold that claim over the full
 //! `default_program_grid` (the same grid the obligation universe is built
 //! from) under strict, full, and relaxed configurations, for all three

@@ -319,7 +319,7 @@ fn panicking_rule_evaluation_is_quarantined_not_fatal() {
     // inside the supervised expansion region, like rule firing): the
     // panic must be caught, the poison state quarantined with a decoded
     // dump, and the rest of the space still explored to a verdict —
-    // inline and on the worker pool alike.
+    // inline and on the workers alike.
     let cfg = ProtocolConfig::strict();
     let init = SystemState::initial(programs::store(7), programs::load());
     let run = |threads: usize| -> Exploration {

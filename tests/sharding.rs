@@ -7,9 +7,9 @@
 //! same verdict, state and transition counts, per-rule firing counts,
 //! successor counts, packed arena bytes, and counterexample traces as a
 //! plain sequential run — whether the shard jobs run inline (one
-//! thread) or across the worker pool (two threads), and whether a
-//! pooled level dedups routed on the workers or merges serially with
-//! exact truncation semantics. On top:
+//! thread) or on scoped workers (two threads), and whether a pooled
+//! level dedups routed on the workers or merges serially with exact
+//! truncation semantics. On top:
 //!
 //! - a sharded run interrupted at a BFS level boundary and resumed by a
 //!   *fresh* checker (under the same or a *different* shard count)
@@ -20,11 +20,11 @@
 use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{ProtocolConfig, Relaxation, Ruleset, SystemState};
 use cxl_repro::mc::{
-    CheckOptions, CheckpointPolicy, Exploration, ModelChecker, Reducer, Reduction,
-    ReductionConfig, SwmrProperty, Trace,
+    CheckOptions, CheckpointPolicy, Exploration, FlightEvent, LevelRecord, ModelChecker, Recorder,
+    Reducer, Reduction, ReductionConfig, RunSummary, SwmrProperty, Trace,
 };
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 mod common;
@@ -61,6 +61,20 @@ fn grid(n: usize) -> SystemState {
         ),
         _ => unreachable!("matrix covers N in {{2, 3}}"),
     }
+}
+
+/// The N = 3 grid [S1,L]×[S2,L]×[L,L] (11,727 states under the strict
+/// configuration): wide enough that at two threads its levels 9–26
+/// expand and check on workers and levels 16–18 dedup routed.
+fn wide_grid() -> SystemState {
+    SystemState::initial_n(
+        3,
+        vec![
+            vec![Instruction::Store(1), Instruction::Load].into(),
+            vec![Instruction::Store(2), Instruction::Load].into(),
+            programs::loads(2),
+        ],
+    )
 }
 
 /// Build the reducer for a combo, mirroring how `explore` wires one up.
@@ -161,8 +175,9 @@ fn sharded_matches_sequential_across_reduction_matrix() {
 
 #[test]
 fn pooled_sharded_exploration_matches_sequential() {
-    // threads = 2 exercises the real worker-pool path: pool expansion,
-    // shard state moving through the job queue, pooled property checks.
+    // threads = 2 expands and property-checks the widest levels on
+    // workers; none is wide enough to dedup routed (see
+    // `pooled_levels_dedup_routed`).
     let cfg = ProtocolConfig::strict();
     for n in [2usize, 3] {
         let init = grid(n);
@@ -235,6 +250,93 @@ fn sharded_truncation_is_bit_identical() {
             );
             assert_identical(&seq, &sharded, &ctx);
         }
+    }
+
+    // A pooled level whose over-cap tail reaches the violation cap
+    // mid-level: each parent settles at its merge turn, so the parents
+    // after the stop stay unexpanded, as in the sequential run.
+    let cfg = ProtocolConfig::relaxed(Relaxation::SnoopPushesGo);
+    let init = wide_grid();
+    for cap in [1302usize, 1303, 1306] {
+        let seq = explore_with(
+            cfg,
+            3,
+            &init,
+            CheckOptions {
+                max_states: cap,
+                ..CheckOptions::default()
+            },
+        );
+        assert!(seq.report.truncated, "cap={cap}: must truncate");
+        assert!(
+            !seq.report.violations.is_empty(),
+            "cap={cap}: the over-cap tail must violate"
+        );
+        for shards in [2usize, 3] {
+            let ctx = format!("relaxed N=3 cap={cap} threads=2 shards={shards}");
+            let pooled = explore_with(
+                cfg,
+                3,
+                &init,
+                CheckOptions {
+                    max_states: cap,
+                    threads: 2,
+                    shards: Some(shards),
+                    ..CheckOptions::default()
+                },
+            );
+            assert_identical(&seq, &pooled, &ctx);
+        }
+    }
+}
+
+/// Collects the level records of a run.
+#[derive(Default)]
+struct Levels(Mutex<Vec<LevelRecord>>);
+
+impl Recorder for Levels {
+    fn record_level(&self, record: &LevelRecord) {
+        self.0.lock().expect("recorder lock").push(record.clone());
+    }
+    fn record_event(&self, _event: &FlightEvent) {}
+    fn finish(&self, _summary: &RunSummary) {}
+}
+
+#[test]
+fn pooled_levels_dedup_routed() {
+    // The grid is wide enough that some levels cannot truncate and route
+    // at least `PAR_DEDUP_MIN` messages, so their dedup runs on workers
+    // that each borrow one shard; the result must not change.
+    let cfg = ProtocolConfig::strict();
+    let init = wide_grid();
+    let seq = explore_with(cfg, 3, &init, CheckOptions::default());
+    for shards in [2usize, 3] {
+        let ctx = format!("N=3 wide grid threads=2 shards={shards}");
+        let levels = Arc::new(Levels::default());
+        let pooled = explore_with(
+            cfg,
+            3,
+            &init,
+            CheckOptions {
+                threads: 2,
+                shards: Some(shards),
+                telemetry: Some(levels.clone()),
+                ..CheckOptions::default()
+            },
+        );
+        assert_identical(&seq, &pooled, &ctx);
+        let routed = levels
+            .0
+            .lock()
+            .expect("recorder lock")
+            .iter()
+            .filter(|l| {
+                l.shards
+                    .as_ref()
+                    .is_some_and(|s| !s.queue_depths.is_empty())
+            })
+            .count();
+        assert!(routed > 0, "{ctx}: no level dedup routed");
     }
 }
 
