@@ -155,7 +155,8 @@ impl Litmus {
         let swmr = SwmrProperty;
         let opts = CheckOptions { max_violations: 1, ..CheckOptions::default() };
         let mc = ModelChecker::with_options(rules, opts);
-        let report = mc.check(&self.initial, &[&swmr, &invariant]);
+        let exploration = mc.explore(&self.initial, &[&swmr, &invariant]);
+        let report = &exploration.report;
 
         let mut notes = Vec::new();
         let mut witness = None;
@@ -173,20 +174,32 @@ impl Litmus {
                     ));
                 }
                 if let Some(check) = final_check {
-                    // Re-explore for the final check; terminal states come
-                    // from the exploration's recorded successor counts, so
-                    // no state's successors are generated a second time.
-                    let exploration = mc.explore(&self.initial, &[]);
-                    let mut checked = 0usize;
+                    // Terminal states come from the exploration's recorded
+                    // successor counts, so the grid is explored once. A run
+                    // that stopped early (at a violation, or truncated)
+                    // expanded only a prefix of the grid, and the check
+                    // covers only that prefix's terminal states.
+                    let (mut checked, mut failed) = (0usize, 0usize);
                     for id in exploration.terminal_indices() {
                         let st = exploration.state(id);
                         checked += 1;
                         if !check(&st) {
-                            ok = false;
+                            failed += 1;
                             notes.push(format!("final-state check failed on:\n{st}"));
                         }
                     }
-                    notes.push(format!("final-state check passed on {checked} terminal states"));
+                    ok &= failed == 0;
+                    let scope = if report.truncated || !report.violations.is_empty() {
+                        " of the explored prefix (the exploration stopped early)"
+                    } else {
+                        ""
+                    };
+                    let total = format!("{checked} terminal states{scope}");
+                    notes.push(if failed == 0 {
+                        format!("final-state check passed on {total}")
+                    } else {
+                        format!("final-state check failed on {failed} of {total}")
+                    });
                 }
                 ok
             }
@@ -257,7 +270,7 @@ impl Litmus {
             }
         };
 
-        LitmusResult { name: self.name.clone(), passed, report, notes, witness }
+        LitmusResult { name: self.name.clone(), passed, report: exploration.report, notes, witness }
     }
 
     /// Check whether a property outcome matches what SWMR says about a
@@ -298,6 +311,33 @@ mod tests {
         let res = lit.run();
         assert!(res.passed, "{res}");
         assert!(res.notes.iter().any(|n| n.contains("final-state check passed")));
+    }
+
+    #[test]
+    fn final_check_notes_failures_and_an_early_stop() {
+        let lit = Litmus::coherent(
+            "final",
+            "single store drains",
+            ProtocolConfig::strict(),
+            SystemState::initial(programs::store(5), vec![]),
+        )
+        .with_final_check(|s| s.dev(cxl_core::DeviceId::D1).cache.val == 6);
+        let res = lit.run();
+        assert!(!res.passed, "{res}");
+        assert!(res.notes.iter().any(|n| n.starts_with("final-state check failed on 1 of ")));
+
+        // A violation stops the exploration, so the check sees a prefix.
+        let lit = Litmus::coherent(
+            "prefix",
+            "paper Table 3",
+            ProtocolConfig::relaxed(Relaxation::SnoopPushesGo),
+            SystemState::initial(programs::store(42), programs::load()),
+        )
+        .with_final_check(|_| true);
+        let res = lit.run();
+        assert!(!res.passed, "{res}");
+        let prefix = "of the explored prefix (the exploration stopped early)";
+        assert!(res.notes.iter().any(|n| n.ends_with(prefix)), "{res}");
     }
 
     #[test]

@@ -54,17 +54,24 @@
 //!   arena. With `threads > 1`, a wide level's expansion, dedup, and
 //!   property check each run as one phase of scoped workers
 //!   ([`std::thread::scope`]) that exist only for that phase. A dedup
-//!   job borrows its shard as `&mut`, so insertion is single-owner
-//!   mutation with no lock and no atomics, and a panic on any worker
-//!   propagates out of [`ModelChecker::explore`] as it does at one
-//!   thread. A BFS-level commit barrier assigns global ids in (frontier
-//!   order × successor order) discovery order, so reports, traces,
-//!   checkpoints, and the returned arena are bit-identical for every
-//!   thread and shard count.
+//!   job borrows its shard as `&mut` and reads the level's expanded
+//!   successors in place, keeping the ones its shard owns, so insertion
+//!   is single-owner mutation with no lock and no atomics, and a panic
+//!   on any worker propagates out of [`ModelChecker::explore`] as it
+//!   does at one thread. A BFS-level commit barrier assigns global ids
+//!   in (frontier order × successor order) discovery order, so reports,
+//!   traces, checkpoints, and the returned arena are bit-identical for
+//!   every thread and shard count — unless a memory budget binds (next
+//!   paragraph).
 //!
 //! A [`CheckOptions::mem_budget`] bounds the packed store: when the arena
 //! outgrows it the search truncates cleanly (like `max_states`) instead
-//! of dying on allocation — the guard rail for 4-device grid sweeps.
+//! of dying on allocation — the guard rail for 4-device grid sweeps. The
+//! footprint the degradation ladder compares against the budget counts
+//! the shard directory, each shard's capacity slack and, on fused
+//! levels, the decoded-frontier ring, all of which depend on the thread
+//! and shard counts, so a run whose budget binds may shed and truncate
+//! at different points under different counts.
 //!
 //! The pre-optimisation algorithm survives as
 //! [`ModelChecker::explore_naive`] (in the `oracle` module), the oracle
@@ -144,7 +151,8 @@ pub struct CheckOptions {
     /// arena, the global id being the slot. More shards route each
     /// successor to its owner's private index and segment, even at
     /// `threads == 1` (which tests the routed layout deterministically
-    /// on a single core). Results are identical for every shard count,
+    /// on a single core). Results are identical for every shard count
+    /// unless a [`CheckOptions::mem_budget`] binds (see the module docs),
     /// and shard count is *not* part of a checkpoint's identity: a
     /// checkpoint written under any shard count resumes under any other.
     pub shards: Option<usize>,
@@ -224,15 +232,14 @@ pub const DEFAULT_SPILL_BUDGET: usize = 32 * 1024 * 1024;
 
 /// Default decoded-frontier ring capacity. The fill machinery moves
 /// boxed slots (pointer-sized hand-offs; the only struct-sized copy is
-/// the one steal swap out of the firing scratch), so per-state fill
-/// cost sits well below per-state decode cost and the ring keeps
-/// winning as it widens — measured on the 3-device reference workload,
-/// ~2048 slots captures most of the win (7–10% wall time; doubling
-/// again adds ~1% for twice the memory). The cap bounds the trade-off:
-/// at ~0.6 KiB per decoded slot and at most three live slot sets
-/// (ring, refill, spares) the ring tops out at a few MiB, and the
-/// degradation ladder's first rung sheds it entirely under memory
-/// pressure.
+/// the one steal swap out of the firing scratch). Its speed win no
+/// longer shows at one thread on a 2-vCPU VM: ring off against on runs
+/// ×0.99–1.00 on the 10,167-state N = 3 bench grid and ×0.96–0.98 on
+/// N = 4 grids (PERFORMANCE.md, "The decoded-frontier ring"). It stays
+/// because the memory ladder's shed timing depends on it. At ~0.6 KiB
+/// per decoded slot and at most three live slot sets (ring, refill,
+/// spares) it tops out at a few MiB, and the ladder's first rung sheds
+/// it entirely under memory pressure.
 pub const DEFAULT_FRONTIER_RING: usize = 2048;
 
 /// Minimum frontier width before the search expands (or property-checks)
@@ -241,13 +248,6 @@ pub const DEFAULT_FRONTIER_RING: usize = 2048;
 /// state's bytes out and its results back, so levels below this run
 /// inline on the driver thread (the fused arm of `ModelChecker::search`).
 const PAR_EXPAND_MIN: usize = 256;
-
-/// Minimum routed-message count before a level dedups on scoped workers,
-/// one job per shard. Dedup work per message (hash probe + possible
-/// segment append) is an order of magnitude lighter than expansion work
-/// per state, so the same spawn-and-join cost needs a correspondingly
-/// higher bar.
-const PAR_DEDUP_MIN: usize = 2048;
 
 impl Default for CheckOptions {
     fn default() -> Self {
@@ -672,9 +672,9 @@ impl ModelChecker {
     ///   stored successors fill the decoded-frontier ring.
     /// - **Pooled**: the frontier expands on scoped workers
     ///   ([`Self::expand_pooled`]); a level that provably cannot truncate
-    ///   and is wide enough dedups routed, each shard's inbox drained on
-    ///   a worker that borrows the shard ([`Self::routed_dedup`]), and
-    ///   every other level merges serially on this thread.
+    ///   dedups on its shard owners, workers that each borrow one shard
+    ///   and read the level's chunks in place ([`Self::owner_dedup`]),
+    ///   and a level that might truncate merges serially on this thread.
     ///
     /// Both arms see successors in (frontier order × successor order), and
     /// every serial merge goes through [`Self::merge_chunk`], so the bits
@@ -920,36 +920,37 @@ impl ModelChecker {
                 s.clock.tock(Phase::Expand, expand_t);
                 let merge_t = s.clock.tick();
                 // Only a level that provably cannot truncate may dedup
-                // routed: truncation semantics (the over-cap tail,
-                // per-state stop points, the ladder's mid-level rungs) are
-                // inherently sequential. The worst case prices every
-                // message as fresh: its payload plus per-state bookkeeping
-                // (offset slot, index slot, parent link, successor count,
-                // directory entry, queue slot).
+                // on its shard owners: truncation semantics (the over-cap
+                // tail, per-state stop points, the ladder's mid-level
+                // rungs) are inherently sequential. The worst case prices
+                // every successor as fresh: its payload plus per-state
+                // bookkeeping (offset slot, index slot, parent link,
+                // successor count, directory entry, queue slot).
                 const PER_STATE_OVERHEAD: usize = 80;
-                let total_msgs: usize = expanded.iter().map(|c| c.items.len()).sum();
+                let succs: usize = expanded.iter().map(|c| c.items.len()).sum();
                 let payload_bytes: usize = expanded.iter().map(|c| c.buf.len()).sum();
                 let fast = !s.report.truncated
-                    && s.store.len() + total_msgs <= self.opts.max_states
+                    && s.store.len() + succs <= self.opts.max_states
                     && self.opts.mem_budget.is_none_or(|budget| {
                         let worst = s.footprint(s.frontier.capacity())
                             + payload_bytes
-                            + total_msgs * PER_STATE_OVERHEAD;
+                            + succs * PER_STATE_OVERHEAD;
                         worst.saturating_mul(10) < budget.saturating_mul(8)
                     });
-                // Routing only exists to hand each shard's messages to a
-                // worker, so a level with fewer messages than a pooled
-                // phase is worth merges straight from the chunks, which
-                // are already in global order.
-                if fast && total_msgs >= PAR_DEDUP_MIN {
-                    // A routed level cannot stop mid-level, so every
-                    // parent may settle before the dedup.
+                if fast {
+                    // A level that cannot truncate cannot stop mid-level,
+                    // so every parent settles, and every transition is
+                    // counted, before the dedup.
                     for chunk in &expanded {
                         for (parent, outcome) in &chunk.parents {
                             s.settle(*parent, outcome, &mut cur, false);
                         }
+                        for &(rule, _, _) in &chunk.items {
+                            s.firings[self.rules.dense_index(rule)] += 1;
+                        }
+                        s.report.transitions += chunk.items.len();
                     }
-                    queue_depths = self.routed_dedup(&mut s, &expanded, total_msgs, payload_bytes);
+                    queue_depths = self.owner_dedup(&mut s, &expanded);
                 } else {
                     for chunk in &mut expanded {
                         if self.merge_chunk(&mut s, props, chunk, &mut cur, false) {
@@ -1106,8 +1107,9 @@ impl ModelChecker {
                             canon: now.canon,
                         }
                     }),
-                    // Per-shard inbox depths are what each owning worker
-                    // drained this level (empty on unrouted levels).
+                    // Per-shard queue depths are the successors each
+                    // owner deduped this level (empty on levels that
+                    // merged on the driver).
                     shards: (shards > 1).then(|| ShardLevelStats {
                         queue_depths,
                         imbalance_pct: s.store.imbalance_pct(),
@@ -1319,70 +1321,32 @@ impl ModelChecker {
     }
 
     /// A pooled level's parallel dedup, for levels that provably cannot
-    /// truncate. Routes every successor, in global sequence order
-    /// (frontier order × successor order), to its owning shard's inbox;
-    /// drains each inbox on a worker that borrows the shard for the job;
-    /// then commits the fresh states in sequence order, which assigns the
-    /// global ids a serial merge would. Returns the per-shard inbox
-    /// depths.
-    fn routed_dedup(
-        &self,
-        s: &mut Search<'_>,
-        expanded: &[ExpandedChunk],
-        total_msgs: usize,
-        payload_bytes: usize,
-    ) -> Vec<u32> {
-        let shards = s.store.shards.len();
-        // Each successor's bytes are memcpy'd into its shard's inbox
-        // buffer: a few dozen bytes moved per message, zero allocations
-        // per message.
-        let mut inboxes: Vec<Inbox> = (0..shards)
-            .map(|_| Inbox {
-                msgs: Vec::with_capacity(total_msgs / shards + 1),
-                buf: Vec::with_capacity(payload_bytes / shards + 64),
-            })
-            .collect();
-        let all = expanded.iter().flat_map(ExpandedChunk::successors);
-        for (seq, (parent, rule, bytes, fp)) in (0u64..).zip(all) {
-            s.firings[self.rules.dense_index(rule)] += 1;
-            s.report.transitions += 1;
-            let dest = shard_of(fp, shards);
-            let (ps, pslot) = s.store.locate(parent);
-            let inbox = &mut inboxes[dest];
-            inbox.buf.extend_from_slice(bytes);
-            inbox.msgs.push(RoutedMsg {
-                seq,
-                parent: u32::try_from(parent).expect("state count fits u32"),
-                rule,
-                end: inbox.buf.len(),
-                fp,
-                base: if ps == dest { pslot as u32 } else { u32::MAX },
-            });
-        }
-        let depths = inboxes
-            .iter()
-            .map(|inbox| u32::try_from(inbox.msgs.len()).unwrap_or(u32::MAX))
-            .collect();
-
-        // Each job borrows its shard as `&mut`: the worker draining an
-        // inbox holds the only reference to that shard's index and
-        // segment, so no lock guards them.
-        let jobs: Vec<(&mut ShardState, Inbox)> = s.store.shards.iter_mut().zip(inboxes).collect();
+    /// truncate: one job per shard, each borrowing its shard as `&mut`
+    /// and reading the level's chunks and the global directory in place
+    /// ([`dedup_owned`]). The commit then assigns global ids to the fresh
+    /// states in global sequence order (frontier order × successor
+    /// order), the ids a serial merge would assign. Returns how many of
+    /// the level's successors each shard owned.
+    fn owner_dedup(&self, s: &mut Search<'_>, expanded: &[ExpandedChunk]) -> Vec<u32> {
+        let ShardedStore { shards, dir, .. } = &mut s.store;
+        let (count, dir) = (shards.len(), &*dir);
+        let jobs: Vec<(usize, &mut ShardState)> = shards.iter_mut().enumerate().collect();
         let per_shard = run(self.opts.threads, jobs, || {
-            |(shard, inbox): (&mut ShardState, Inbox)| dedup_into_shard(shard, &inbox)
+            |(me, shard): (usize, &mut ShardState)| dedup_owned(me, shard, count, dir, expanded)
         });
+        let depths = per_shard.iter().map(|&(owned, _)| owned).collect();
 
         // Commit. Per-shard fresh lists are already seq-sorted, so this
         // sort is a merge.
         let mut fresh: Vec<(usize, FreshSucc)> = per_shard
             .into_iter()
             .enumerate()
-            .flat_map(|(shard, f)| f.into_iter().map(move |x| (shard, x)))
+            .flat_map(|(shard, (_, f))| f.into_iter().map(move |x| (shard, x)))
             .collect();
         fresh.sort_unstable_by_key(|(_, f)| f.seq);
         for (shard, f) in fresh {
             let gid = s.store.commit(shard, f.slot);
-            s.parents.push(Some((f.parent as usize, f.rule)));
+            s.parents.push(Some((f.parent, f.rule)));
             s.succ_counts.push(NOT_EXPANDED);
             s.new_indices.push(gid);
         }
@@ -1938,8 +1902,8 @@ impl StateStore for StateArena {
 
 /// One shard of the visited set: a private dedup index over a private
 /// packed-state segment. A dedup job borrows the pair as `&mut`, so the
-/// worker draining a shard's inbox mutates both as the sole owner — no
-/// shared visited set, no lock, no atomics.
+/// worker that owns a shard for a level mutates both as the sole owner —
+/// no shared visited set, no lock, no atomics.
 struct ShardState {
     index: FpIndex,
     segment: StateArena,
@@ -2018,11 +1982,7 @@ impl ShardedStore {
 
     /// Where global id `gid` lives: `(shard, slot)`.
     fn locate(&self, gid: usize) -> (usize, usize) {
-        if self.shards.len() == 1 {
-            return (0, gid);
-        }
-        let (s, slot) = self.dir[gid];
-        (s as usize, slot as usize)
+        locate(&self.dir, self.shards.len(), gid)
     }
 
     /// Assign the next global id to the fresh state at `slot` of shard
@@ -2152,6 +2112,17 @@ impl ShardedStore {
     }
 }
 
+/// Where global id `gid` lives in a store of `shards` shards whose
+/// directory is `dir`: `(shard, slot)`. One shard keeps no directory —
+/// the id is the slot.
+fn locate(dir: &[(u32, u32)], shards: usize, gid: usize) -> (usize, usize) {
+    if shards == 1 {
+        return (0, gid);
+    }
+    let (s, slot) = dir[gid];
+    (s as usize, slot as usize)
+}
+
 impl StateStore for ShardedStore {
     fn len(&self) -> usize {
         if self.shards.len() == 1 {
@@ -2180,69 +2151,46 @@ impl StateStore for ShardedStore {
     }
 }
 
-/// A successor in flight to its owning shard: the global sequence number
-/// (frontier order × successor order, the order a serial merge walks),
-/// the discovering edge, and the end offset of its packed (canonical)
-/// bytes in the carrying [`Inbox`]'s buffer, plus their fingerprint.
-struct RoutedMsg {
-    seq: u64,
-    parent: u32,
-    rule: RuleId,
-    end: usize,
-    fp: u64,
-    /// The parent's shard-local slot when it lives in the *destination*
-    /// shard (the delta-eligible case), else `u32::MAX`. Resolved by the
-    /// router, which holds the global directory; the draining worker
-    /// only ever sees same-shard bases.
-    base: u32,
-}
-
-/// One shard's per-level mailbox: routed messages plus all their packed
-/// bytes in a single buffer (messages hold end offsets — same SoA
-/// rationale as [`ExpandedChunk`]: the mailbox costs two allocations per
-/// level, not one per successor).
-#[derive(Default)]
-struct Inbox {
-    msgs: Vec<RoutedMsg>,
-    buf: Vec<u8>,
-}
-
-/// A genuinely fresh state a shard stored while draining its inbox:
-/// where it landed (shard-local slot) and its discovering edge, tagged
-/// with the global sequence number so the commit barrier can assign
-/// global ids in deterministic discovery order.
+/// A genuinely fresh state an owner stored during its dedup: where it
+/// landed (shard-local slot) and its discovering edge, tagged with the
+/// global sequence number so the commit barrier can assign global ids in
+/// deterministic discovery order.
 struct FreshSucc {
     seq: u64,
-    parent: u32,
+    parent: usize,
     rule: RuleId,
     slot: u32,
 }
 
-/// Drain one shard's inbox into its owned (index, segment) pair:
-/// probe-or-insert each message in sequence order, appending survivors
-/// to the segment. Single-owner mutation — runs lock-free on whichever
-/// worker holds the shard. Inbox order is globally seq-sorted (the
-/// router assigns seq monotonically), so per-shard insertion order — and
-/// hence each shard's segment layout and index bucket layout — is
-/// deterministic regardless of which worker runs the job or when.
-fn dedup_into_shard(state: &mut ShardState, inbox: &Inbox) -> Vec<FreshSucc> {
-    let ShardState { index, segment } = state;
+/// One owner's dedup: walk the level's successors in global sequence
+/// order, keep those shard `me` of `shards` owns, and probe-or-insert
+/// each, storing a fresh one as a delta against its parent when the
+/// parent lives in this shard (`dir` is the global directory). Returns
+/// the owned-successor count and the fresh states in sequence order.
+fn dedup_owned(
+    me: usize,
+    shard: &mut ShardState,
+    shards: usize,
+    dir: &[(u32, u32)],
+    expanded: &[ExpandedChunk],
+) -> (u32, Vec<FreshSucc>) {
+    let ShardState { index, segment } = shard;
+    let mut owned = 0usize;
     let mut fresh = Vec::new();
-    let mut start = 0usize;
-    for msg in &inbox.msgs {
-        let bytes = &inbox.buf[start..msg.end];
-        start = msg.end;
+    let all = expanded.iter().flat_map(ExpandedChunk::successors);
+    for (seq, (parent, rule, bytes, fp)) in (0u64..).zip(all) {
+        if shard_of(fp, shards) != me {
+            continue;
+        }
+        owned += 1;
         let slot = u32::try_from(segment.len()).expect("state count fits u32");
-        if index
-            .insert(msg.fp, slot, |id| segment.entry_matches(id as usize, bytes))
-            .is_none()
-        {
-            segment
-                .push_encoded_delta(bytes, (msg.base != u32::MAX).then_some(msg.base));
-            fresh.push(FreshSucc { seq: msg.seq, parent: msg.parent, rule: msg.rule, slot });
+        if index.insert(fp, slot, |id| segment.entry_matches(id as usize, bytes)).is_none() {
+            let (ps, pslot) = locate(dir, shards, parent);
+            segment.push_encoded_delta(bytes, (ps == me).then_some(pslot as u32));
+            fresh.push(FreshSucc { seq, parent, rule, slot });
         }
     }
-    fresh
+    (u32::try_from(owned).unwrap_or(u32::MAX), fresh)
 }
 
 /// Append one successor's encoded (canonical) bytes, fingerprint, and

@@ -327,9 +327,12 @@ impl CheckpointSource<'_> {
     }
 
     /// Serialize and write to `dir`'s rolling checkpoint file, atomically:
-    /// the bytes land in a temporary file (fsynced), which is then renamed
-    /// over [`CHECKPOINT_FILE`] — a crash at any point leaves either the
-    /// old or the new checkpoint intact, never a torn one.
+    /// the bytes land in a temporary file, which is then renamed over
+    /// [`CHECKPOINT_FILE`] — a process crash at any point leaves either
+    /// the old or the new checkpoint intact, never a torn one. Nothing is
+    /// fsynced (see the comment below): after a whole-machine crash the
+    /// file may be stale or incomplete, and its checksum then makes the
+    /// reader refuse it.
     pub(crate) fn write_atomic(
         &self,
         rules: &Ruleset,

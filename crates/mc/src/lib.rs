@@ -17,13 +17,15 @@
 //! - one exploration driver for every thread and shard count
 //!   ([`CheckOptions::shards`]): the fingerprint space is partitioned
 //!   into shards, each owning a private dedup index and arena segment,
-//!   with successors routed as packed-bytes messages by
-//!   [`cxl_core::shard_of`] — no shared visited set, no locks or atomics
-//!   on dedup, and bit-identical results at any shard count. One shard
-//!   and one thread is the sequential search; with more threads a wide
-//!   level's expansion, dedup and property check each run on scoped
-//!   workers that exist only for that phase, a dedup job borrowing its
-//!   shard as `&mut`;
+//!   every successor deduped by the shard [`cxl_core::shard_of`] its
+//!   fingerprint names — no shared visited set, no locks or atomics on
+//!   dedup, and bit-identical results at any shard and thread count
+//!   unless a [`CheckOptions::mem_budget`] binds (the footprint the
+//!   degradation ladder reads depends on both). One shard and one
+//!   thread is the sequential search; with more threads a wide level's
+//!   expansion, dedup and property check each run on scoped workers
+//!   that exist only for that phase, a dedup job borrowing its shard as
+//!   `&mut` and reading the level's expanded successors in place;
 //! - a decoded-frontier ring ([`CheckOptions::frontier_ring`]) that
 //!   keeps the current BFS level decoded, trading bounded memory for
 //!   skipped per-expansion decodes;

@@ -588,62 +588,50 @@ impl Reduction {
     /// most one distinct free value occurs, where renumbering commutes
     /// with segment permutation and the two engines literally compose).
     fn canonicalize_impl(&self, bytes: &mut Vec<u8>, scratch: &mut Vec<u8>, count: bool) -> bool {
-        match &self.data {
-            None if self.group.nontrivial() => {
-                let changed = self.group.canonicalize(&self.codec, &mut bytes[..], scratch);
-                if changed && count {
-                    self.orbit_canonicalized.fetch_add(1, Ordering::Relaxed);
-                }
-                changed
+        let Some(ds) = &self.data else {
+            if !self.group.nontrivial() {
+                return false;
             }
-            None => false,
-            // The joint path runs whenever any non-identity device
-            // arrangement is admissible — which the *value-blind* list
-            // decides, not the byte-equality subgroup (devices running
-            // value-isomorphic programs have a trivial byte group but a
-            // rich joint one). The armed engine picks the algorithm;
-            // refine and brute land on byte-identical representatives.
-            Some(ds) => match &self.canon {
-                CanonEngine::Refine(lab) | CanonEngine::CappedRefine(lab) => {
-                    self.canonicalize_refine(lab, ds, bytes, scratch, count)
-                }
-                CanonEngine::Brute => self.canonicalize_joint(ds, bytes, scratch, count),
-                CanonEngine::Off => {
-                    let (changed, _) = ds.renumber(bytes, scratch);
-                    if changed {
-                        std::mem::swap(bytes, scratch);
-                        if count {
-                            self.value_canonicalized.fetch_add(1, Ordering::Relaxed);
-                        }
+            let changed = self.group.canonicalize(&self.codec, &mut bytes[..], scratch);
+            if changed && count {
+                self.orbit_canonicalized.fetch_add(1, Ordering::Relaxed);
+            }
+            return changed;
+        };
+        // The joint path runs whenever any non-identity device
+        // arrangement is admissible — which the *value-blind* list
+        // decides, not the byte-equality subgroup (devices running
+        // value-isomorphic programs have a trivial byte group but a rich
+        // joint one). The armed engine picks the algorithm; refine and
+        // brute land on byte-identical representatives.
+        let labeller = match &self.canon {
+            CanonEngine::Off => {
+                let (changed, _) = ds.renumber(bytes, scratch);
+                if changed {
+                    std::mem::swap(bytes, scratch);
+                    if count {
+                        self.value_canonicalized.fetch_add(1, Ordering::Relaxed);
                     }
-                    changed
                 }
-            },
-        }
-    }
-
-    /// The refine-engine kernel: one partition-refinement labelling pass
-    /// (see [`refine`]) instead of the brute scan, same byte result over
-    /// the same group.
-    fn canonicalize_refine(
-        &self,
-        lab: &RefineLabeller,
-        ds: &DataSymmetry,
-        bytes: &mut Vec<u8>,
-        scratch: &mut Vec<u8>,
-        count: bool,
-    ) -> bool {
-        // Same fast path as the brute kernel below: with at most one
-        // distinct free value and the joint permutations exactly the
-        // byte-equality subgroup, renumbering commutes with every
-        // arrangement and the per-class sort already lands on the joint
-        // minimum — skip the labelling pass. Both branch conditions are
-        // orbit invariants (a value bijection or device permutation
-        // changes neither), so every state of one orbit takes the same
-        // branch and the canonical form stays a function of the orbit.
-        // The group condition is fixed at construction, so it is tested
+                return changed;
+            }
+            CanonEngine::Refine(lab) | CanonEngine::CappedRefine(lab) => Some(lab),
+            CanonEngine::Brute => None,
+        };
+        // Fast path: when the admissible permutations are exactly the
+        // byte-equal subgroup and at most one distinct free value
+        // occurs, renumbering is independent of segment order (the
+        // single token lands everywhere regardless), so it commutes with
+        // every arrangement and the joint minimum is the per-class sort
+        // of the renumbered encoding. Both conditions are orbit
+        // invariants (a value bijection or device permutation changes
+        // neither), so every state of one orbit takes the same branch
+        // and the canonical form stays a function of the orbit. The
+        // group condition is fixed at construction, so it is tested
         // first: when it fails, the renumber pass that counts the free
-        // values would only be overwritten by the labeller.
+        // values is skipped. `bytes` doubles as the sorter's assembly
+        // buffer — its pre-swap contents are dead either way.
+        let mut identity = None;
         if self.joint_perms.len() as u64 == self.group.order() {
             let (id_changed, distinct_free) = ds.renumber(bytes, scratch);
             if distinct_free <= 1 {
@@ -662,7 +650,31 @@ impl Reduction {
                 }
                 return changed;
             }
+            identity = Some(id_changed);
         }
+        match labeller {
+            Some(lab) => self.canonicalize_refine(lab, ds, bytes, scratch, count),
+            None => {
+                // Brute seeds its scan with the identity arrangement's
+                // renumbering, which the fast-path test may already have
+                // left in `scratch`.
+                let id_changed = identity.unwrap_or_else(|| ds.renumber(bytes, scratch).0);
+                self.canonicalize_joint(ds, bytes, scratch, id_changed, count)
+            }
+        }
+    }
+
+    /// The refine-engine kernel: one partition-refinement labelling pass
+    /// (see [`refine`]) instead of the brute scan, same byte result over
+    /// the same group.
+    fn canonicalize_refine(
+        &self,
+        lab: &RefineLabeller,
+        ds: &DataSymmetry,
+        bytes: &mut Vec<u8>,
+        scratch: &mut Vec<u8>,
+        count: bool,
+    ) -> bool {
         let outcome = lab.canonicalize(ds, bytes, scratch);
         let changed = *scratch != *bytes;
         if changed {
@@ -686,43 +698,22 @@ impl Reduction {
     /// value-equivalence classes; idempotent because the candidate set
     /// of a canonical form equals the candidate set of its pre-image
     /// (the admissible permutations form a group).
+    ///
+    /// `scratch` holds the identity arrangement's renumbering on entry,
+    /// and `id_changed` says whether that pass rewrote `bytes`.
     fn canonicalize_joint(
         &self,
         ds: &DataSymmetry,
         bytes: &mut Vec<u8>,
         scratch: &mut Vec<u8>,
+        id_changed: bool,
         count: bool,
     ) -> bool {
-        let (id_changed, distinct_free) = ds.renumber(bytes, scratch);
-        if distinct_free <= 1 && self.joint_perms.len() as u64 == self.group.order() {
-            // Fast path: when the admissible permutations are exactly
-            // the byte-equal subgroup and at most one distinct free
-            // value occurs, renumbering is independent of segment order
-            // (the single token lands everywhere regardless), so it
-            // commutes with every permutation and the joint minimum is
-            // the per-class sort of the renumbered encoding. `bytes`
-            // doubles as the sorter's assembly buffer — its pre-swap
-            // contents are dead either way.
-            let sym_changed = self.group.canonicalize(&self.codec, &mut scratch[..], bytes);
-            let changed = id_changed || sym_changed;
-            if changed {
-                std::mem::swap(bytes, scratch);
-                if count {
-                    if id_changed {
-                        self.value_canonicalized.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if sym_changed {
-                        self.orbit_canonicalized.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            return changed;
-        }
-        // General case: minimise over every admissible arrangement.
-        // `scratch` currently holds the identity candidate; take it as
-        // the seeded best instead of cloning (its buffer is reclaimed by
-        // the final swap below). The two candidate buffers are the
-        // joint path's only per-call allocations.
+        // Minimise over every admissible arrangement. `scratch` holds
+        // the identity candidate; take it as the seeded best instead of
+        // cloning (its buffer is reclaimed by the final swap below). The
+        // two candidate buffers are the joint path's only per-call
+        // allocations.
         let mut best: Vec<u8> = std::mem::take(scratch);
         let mut best_is_identity_arrangement = true;
         let mut best_renumber_changed = id_changed;
@@ -787,12 +778,10 @@ impl Reducer for Reduction {
     ) -> Option<RuleId> {
         match self.por {
             PorMode::Off => None,
-            PorMode::On => {
-                let id = por::ample_step(rules, state, &self.safe_shapes, scratch)?;
-                self.ample_local.fetch_add(1, Ordering::Relaxed);
-                Some(id)
-            }
-            PorMode::Wide => {
+            // The conservative tier is the widened election with only
+            // its first tier armed: under `On` the gated, diamond and
+            // drain tables are empty, so every election is `Local`.
+            PorMode::On | PorMode::Wide => {
                 let (id, kind) = por::ample_step_wide(
                     rules,
                     state,

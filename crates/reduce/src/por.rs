@@ -150,38 +150,16 @@ pub fn host_drain_shapes() -> Vec<Shape> {
     Shape::ALL.iter().copied().filter(|s| s.host_drain()).collect()
 }
 
-/// If some device has an enabled safe-local step in `state`, fire it into
-/// `scratch` and return its rule id — the singleton ample set of the
-/// conservative tier. Devices and shapes are scanned in canonical order,
-/// so the choice is deterministic.
-#[must_use]
-pub fn ample_step(
-    rules: &Ruleset,
-    state: &SystemState,
-    safe_shapes: &[Shape],
-    scratch: &mut SystemState,
-) -> Option<RuleId> {
-    for d in state.device_ids() {
-        let cs = state.dev(d).cache.state;
-        for &shape in safe_shapes {
-            if shape.device_state_key() == Some(cs) && shape.quick_enabled(state, d) {
-                let id = RuleId::new(shape, d);
-                if rules.try_fire_into(id, state, scratch) {
-                    return Some(id);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// The widened ample election: statically safe local steps first, then —
-/// for devices whose snoop channel is empty — snoop-gated local hits and
+/// The ample election: statically safe local steps first, then — for
+/// devices whose snoop channel is empty — snoop-gated local hits and
 /// collapsed completion diamonds, then a singleton host drain when the
 /// drain is the only possible host activity (`drain_shapes` is empty
 /// unless the caller established the config preconditions — see the
 /// module docs). Deterministic scan order (devices ascending; tiers in
-/// the order above). `scratch` holds the successor on `Some`.
+/// the order above). With `gated_shapes`, `diamonds` and `drain_shapes`
+/// all empty this is the conservative tier: the first enabled safe-local
+/// step, always [`AmpleKind::Local`]. `scratch` holds the successor on
+/// `Some`.
 #[must_use]
 pub fn ample_step_wide(
     rules: &Ruleset,
@@ -311,15 +289,18 @@ mod tests {
         let shapes = safe_local_shapes();
         assert_eq!(shapes, vec![Shape::InvalidEvict]);
 
+        // The conservative tier: only the safe-local table armed.
         let s = SystemState::initial(programs::evicts(2), programs::load());
         let mut scratch = SystemState::initial_n(2, vec![]);
-        let id = ample_step(&rules, &s, &shapes, &mut scratch).expect("evict on I is ample");
+        let (id, kind) = ample_step_wide(&rules, &s, &shapes, &[], &[], &[], &mut scratch)
+            .expect("evict on I is ample");
         assert_eq!(id, RuleId::new(Shape::InvalidEvict, DeviceId::D1));
+        assert_eq!(kind, AmpleKind::Local);
         assert_eq!(scratch.dev(DeviceId::D1).prog.len(), 1, "one evict retired");
 
         // No safe-local step → no ample set.
         let s = SystemState::initial(programs::load(), programs::store(1));
-        assert!(ample_step(&rules, &s, &shapes, &mut scratch).is_none());
+        assert!(ample_step_wide(&rules, &s, &shapes, &[], &[], &[], &mut scratch).is_none());
     }
 
     #[test]

@@ -156,9 +156,10 @@ impl PhaseClock {
 /// (sharded driver only).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardLevelStats {
-    /// Successor messages routed into each shard's inbox this level —
-    /// the per-shard queue depth the commit barrier drained. Empty on
-    /// levels narrow enough to merge inline (no inboxes were built).
+    /// Successors each shard's owner deduped this level — the per-shard
+    /// queue depth behind the commit barrier. Empty on levels that merge
+    /// serially on the driver (the fused inline arm, and pooled levels
+    /// that might truncate).
     pub queue_depths: Vec<u32>,
     /// `(max − mean) / mean` over per-shard *stored-state* counts, in
     /// percent, after the commit.

@@ -16,8 +16,8 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 /// The N = 3 grid [S1,L]×[S2,L]×[L,L]: 11,727 states under the strict
-/// configuration. At two threads its levels 9–26 expand and check on
-/// workers, and levels 16–18 also dedup routed.
+/// configuration. At two threads its levels 10–27 expand and dedup on
+/// workers, and levels 9–26 check there.
 fn grid() -> SystemState {
     SystemState::initial_n(
         3,

@@ -8,8 +8,8 @@
 //! successor counts, packed arena bytes, and counterexample traces as a
 //! plain sequential run — whether the shard jobs run inline (one
 //! thread) or on scoped workers (two threads), and whether a pooled
-//! level dedups routed on the workers or merges serially with exact
-//! truncation semantics. On top:
+//! level dedups on its shard owners or, when it might truncate, merges
+//! serially with exact truncation semantics. On top:
 //!
 //! - a sharded run interrupted at a BFS level boundary and resumed by a
 //!   *fresh* checker (under the same or a *different* shard count)
@@ -64,8 +64,9 @@ fn grid(n: usize) -> SystemState {
 }
 
 /// The N = 3 grid [S1,L]×[S2,L]×[L,L] (11,727 states under the strict
-/// configuration): wide enough that at two threads its levels 9–26
-/// expand and check on workers and levels 16–18 dedup routed.
+/// configuration): wide enough that at two threads its levels 10–27
+/// expand and dedup on workers — every pooled level that cannot
+/// truncate dedups on its shard owners — and levels 9–26 check there.
 fn wide_grid() -> SystemState {
     SystemState::initial_n(
         3,
@@ -175,9 +176,10 @@ fn sharded_matches_sequential_across_reduction_matrix() {
 
 #[test]
 fn pooled_sharded_exploration_matches_sequential() {
-    // threads = 2 expands and property-checks the widest levels on
-    // workers; none is wide enough to dedup routed (see
-    // `pooled_levels_dedup_routed`).
+    // threads = 2 expands, dedups and property-checks the widest levels
+    // on workers: the N = 3 grid's levels 14–17 dedup on their shard
+    // owners (the wider grid of `pooled_levels_dedup_routed` pools
+    // eighteen levels).
     let cfg = ProtocolConfig::strict();
     for n in [2usize, 3] {
         let init = grid(n);
@@ -304,9 +306,9 @@ impl Recorder for Levels {
 
 #[test]
 fn pooled_levels_dedup_routed() {
-    // The grid is wide enough that some levels cannot truncate and route
-    // at least `PAR_DEDUP_MIN` messages, so their dedup runs on workers
-    // that each borrow one shard; the result must not change.
+    // Every pooled level of the grid (10–27) cannot truncate, so its
+    // dedup runs on workers that each borrow one shard and keep the
+    // level's successors that shard owns; the result must not change.
     let cfg = ProtocolConfig::strict();
     let init = wide_grid();
     let seq = explore_with(cfg, 3, &init, CheckOptions::default());

@@ -6,7 +6,8 @@
 //! delta+spill armed, with verdict, state set, and traces bit-identical
 //! to the unrestricted run; checkpoint→resume works across the reduction
 //! matrix with a spill dir active; a multi-shard delta store merges to
-//! the one-shard run's exact arena; and at one shard the whole ladder
+//! the one-shard run's exact arena, inline and on two threads' pooled
+//! phases; and at one shard the whole ladder
 //! (deltas, a spill and a checkpoint every level) completes the N=4 grid
 //! under 8 MiB with a pinned shed and emergency checkpoint.
 
@@ -14,11 +15,12 @@ use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{Invariant, ProtocolConfig, Relaxation, Ruleset, SystemState};
 use cxl_repro::litmus::replay_trace;
 use cxl_repro::mc::{
-    CheckOptions, CheckpointPolicy, DegradationAction, Exploration, InvariantProperty,
-    ModelChecker, Reducer, Reduction, ReductionConfig, SwmrProperty,
+    CheckOptions, CheckpointPolicy, DegradationAction, Exploration, FlightEvent, InvariantProperty,
+    LevelRecord, ModelChecker, Recorder, Reducer, Reduction, ReductionConfig, RunSummary,
+    SwmrProperty,
 };
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 mod common;
@@ -113,6 +115,32 @@ fn n3_grid() -> SystemState {
             programs::loads(1),
         ],
     )
+}
+
+/// The N=3 grid [S1,L]×[S2,L]×[L,L] (11,727 states under the strict
+/// configuration): wide enough that at two threads its middle levels
+/// expand, dedup and check on scoped workers.
+fn wide_n3_grid() -> SystemState {
+    SystemState::initial_n(
+        3,
+        vec![
+            vec![Instruction::Store(1), Instruction::Load].into(),
+            vec![Instruction::Store(2), Instruction::Load].into(),
+            programs::loads(2),
+        ],
+    )
+}
+
+/// Collects the level records of a run.
+#[derive(Default)]
+struct Levels(Mutex<Vec<LevelRecord>>);
+
+impl Recorder for Levels {
+    fn record_level(&self, record: &LevelRecord) {
+        self.0.lock().expect("recorder lock").push(record.clone());
+    }
+    fn record_event(&self, _event: &FlightEvent) {}
+    fn finish(&self, _summary: &RunSummary) {}
 }
 
 #[test]
@@ -233,6 +261,64 @@ fn sharded_delta_spill_merges_to_the_sequential_arena() {
         assert_eq!(baseline.arena, sharded.arena, "{ctx}: merged arena");
         assert_same_results(&baseline, &sharded, &ctx);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn delta_spill_at_two_threads_matches_one_thread() {
+    // At two threads the wide levels run as pooled phases over the
+    // compressed store: expansion ships parents materialized from delta
+    // chains and spilled extents, and each shard owner resolves its
+    // successors' delta bases against the global directory. Deltas and
+    // spills are per shard, so their counts differ from the one-thread
+    // run; every result must not.
+    let strict = ProtocolConfig::strict();
+    let relaxed = ProtocolConfig::relaxed(Relaxation::SnoopPushesGo);
+    for (name, cfg) in [("strict", strict), ("snoop-pushes-go", relaxed)] {
+        let init = wide_n3_grid();
+        // The single run's arena reads its sealed extents until the end.
+        let single_dir = scratch(&format!("mt-{name}-1"));
+        let single = explore_with(
+            cfg,
+            3,
+            &init,
+            CheckOptions { threads: 1, ..compressed_opts(&single_dir) },
+        );
+        if cfg == strict {
+            assert_eq!(single.report.states, 11_727, "{name}: strict grid size");
+            assert!(single.report.clean(), "{name}: {}", single.report);
+        } else {
+            assert!(!single.report.violations.is_empty(), "{name}: the grid must violate SWMR");
+        }
+        for shards in [2usize, 3] {
+            let ctx = format!("{name} threads=2 shards={shards}");
+            let dir = scratch(&format!("mt-{name}-{shards}"));
+            let levels = Arc::new(Levels::default());
+            let pooled = explore_with(
+                cfg,
+                3,
+                &init,
+                CheckOptions {
+                    threads: 2,
+                    shards: Some(shards),
+                    telemetry: Some(levels.clone()),
+                    ..compressed_opts(&dir)
+                },
+            );
+            assert_same_results(&single, &pooled, &ctx);
+            assert!(pooled.report.delta_entries > 0, "{ctx}: delta encoding engaged");
+            assert!(pooled.report.spilled_extents > 0, "{ctx}: spilling engaged");
+            let owned = levels
+                .0
+                .lock()
+                .expect("recorder lock")
+                .iter()
+                .filter(|l| l.shards.as_ref().is_some_and(|s| !s.queue_depths.is_empty()))
+                .count();
+            assert!(owned > 0, "{ctx}: no level deduped on its shard owners");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&single_dir);
     }
 }
 
