@@ -114,10 +114,15 @@
 //! fingerprint-routed, worker-owned shard per thread — dedup and
 //! insertion run lock-free inside the owning shard, with results
 //! bit-identical to a single-threaded run. `--shards N` forces a shard
-//! count (N > 1 engages the sharded driver even at `--threads 1`, which
-//! is how CI exercises the routed layout deterministically on one
-//! core). The report prints the shard count, routed message total, and
-//! load imbalance when more than one shard ran.
+//! count (N > 1 routes successors over N shards even at `--threads 1`,
+//! which is how CI exercises the routed layout deterministically on one
+//! core; one driver serves every thread and shard count). The report
+//! prints the shard count, routed message total, and load imbalance
+//! when more than one shard ran.
+//!
+//! Out-of-range input is refused with exit 64, never misread: a
+//! `--threads` or `--shards` of 0, and a `--mem-budget-mb` or
+//! `--spill-budget-mb` whose byte count overflows.
 
 use cxl_core::instr::Instruction;
 use cxl_core::{
@@ -161,6 +166,27 @@ fn parse_relaxation(name: &str) -> Result<Relaxation, String> {
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+}
+
+/// Parse `flag`'s value as a count of at least one (threads, shards).
+fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
+    match value
+        .parse::<usize>()
+        .map_err(|e| format!("bad {flag}: {e}"))?
+    {
+        0 => Err(format!("bad {flag}: 0 (must be at least 1)")),
+        n => Ok(n),
+    }
+}
+
+/// Parse `flag`'s value as MiB and return it in bytes, refusing a size
+/// whose byte count does not fit a `usize`.
+fn parse_mib(flag: &str, value: &str) -> Result<usize, String> {
+    let mb = value
+        .parse::<usize>()
+        .map_err(|e| format!("bad {flag}: {e}"))?;
+    mb.checked_mul(1024 * 1024)
+        .ok_or_else(|| format!("bad {flag}: {mb} MiB overflows a byte count"))
 }
 
 /// `--help` text. Kept in sync with the module docs above; the one-line
@@ -291,7 +317,7 @@ fn main() {
         }
         let want_trace = args.iter().any(|a| a == "--trace");
         let threads = arg_value(&args, "--threads")
-            .map(|t| t.parse::<usize>().map_err(|e| format!("bad --threads: {e}")))
+            .map(|t| parse_count("--threads", &t))
             .transpose()?
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -300,11 +326,7 @@ fn main() {
         // the checker; an explicit count pins the routed layout.
         let shards = match arg_value(&args, "--shards").as_deref() {
             None | Some("auto") => None,
-            Some(n) => Some(
-                n.parse::<usize>()
-                    .map_err(|e| format!("bad --shards {n:?} (auto or a count): {e}"))?
-                    .max(1),
-            ),
+            Some(n) => Some(parse_count("--shards", n)?),
         };
 
         let init =
@@ -316,9 +338,8 @@ fn main() {
         );
 
         let mem_budget = arg_value(&args, "--mem-budget-mb")
-            .map(|v| v.parse::<usize>().map_err(|e| format!("bad --mem-budget-mb: {e}")))
+            .map(|v| parse_mib("--mem-budget-mb", &v))
             .transpose()?
-            .map(|mb| mb * 1024 * 1024)
             .or(cxl_mc::CheckOptions::default().mem_budget);
         let time_budget = arg_value(&args, "--time-budget-ms")
             .map(|v| v.parse::<u64>().map_err(|e| format!("bad --time-budget-ms: {e}")))
@@ -348,9 +369,8 @@ fn main() {
             .unwrap_or(0);
         let spill_dir = arg_value(&args, "--spill-dir").map(std::path::PathBuf::from);
         let spill_budget = arg_value(&args, "--spill-budget-mb")
-            .map(|v| v.parse::<usize>().map_err(|e| format!("bad --spill-budget-mb: {e}")))
-            .transpose()?
-            .map(|mb| mb * 1024 * 1024);
+            .map(|v| parse_mib("--spill-budget-mb", &v))
+            .transpose()?;
         if spill_budget.is_some() && spill_dir.is_none() {
             return Err("--spill-budget-mb requires --spill-dir".to_string().into());
         }

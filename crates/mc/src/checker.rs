@@ -54,9 +54,10 @@
 //!   arena. With `threads > 1`, a wide level's expansion, dedup, and
 //!   property check each run as one phase of scoped workers
 //!   ([`std::thread::scope`]) that exist only for that phase. A dedup
-//!   job borrows its shard as `&mut` and reads the level's expanded
-//!   successors in place, keeping the ones its shard owns, so insertion
-//!   is single-owner mutation with no lock and no atomics, and a panic
+//!   job borrows a contiguous run of shards as `&mut` and reads the
+//!   level's expanded successors in place, keeping the ones its shards
+//!   own, so insertion is single-owner mutation with no lock and no
+//!   atomics, and a panic
 //!   on any worker propagates out of [`ModelChecker::explore`] as it
 //!   does at one thread. A BFS-level commit barrier assigns global ids
 //!   in (frontier order × successor order) discovery order, so reports,
@@ -81,7 +82,7 @@
 use crate::checkpoint::{
     options_fingerprint, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSource,
 };
-use crate::property::Property;
+use crate::property::{Property, PropertyOutcome};
 use crate::report::{
     Deadlock, DegradationAction, DegradationStep, Quarantine, ReductionSummary, Report, Step,
     Trace, Violation,
@@ -303,14 +304,28 @@ pub const NOT_EXPANDED: u32 = u32::MAX;
 /// poisons *one state* — quarantined in [`Report::quarantined`] —
 /// instead of tearing down the whole search.
 enum Outcome {
-    /// The state expanded cleanly and emitted this many successors; its
-    /// metadata occupies the next that-many entries of the chunk's
-    /// parent-major item list.
+    /// The state expanded cleanly and emitted this many successors (at
+    /// least one); their metadata occupies the next that-many entries of
+    /// the chunk's parent-major item list.
     Succs(u32),
+    /// The state expanded cleanly and emitted none (it is terminal, or
+    /// pruned). Expansion decided `quiescent` while it still held the
+    /// state decoded, so settling a deadlock never decodes it again.
+    Terminal { quiescent: bool },
     /// Expansion panicked; the payload's message. The state stays
     /// unexpanded ([`NOT_EXPANDED`]) and is quarantined by the driver,
     /// contributing zero successors to the chunk.
     Poisoned(String),
+}
+
+impl Outcome {
+    /// How many successors the state emitted into its chunk.
+    fn emitted(&self) -> usize {
+        match self {
+            Outcome::Succs(n) => *n as usize,
+            Outcome::Terminal { .. } | Outcome::Poisoned(_) => 0,
+        }
+    }
 }
 
 /// A chunk of expanded frontier states in frontier order.
@@ -380,13 +395,10 @@ impl ExpandedChunk {
     /// The chunk's successors in generation order, as `(parent, rule,
     /// packed bytes, fingerprint)`.
     fn successors(&self) -> impl Iterator<Item = (usize, RuleId, &[u8], u64)> {
-        let owners = self.parents.iter().flat_map(|(parent, outcome)| {
-            let n = match outcome {
-                Outcome::Succs(n) => *n as usize,
-                Outcome::Poisoned(_) => 0,
-            };
-            std::iter::repeat_n(*parent, n)
-        });
+        let owners = self
+            .parents
+            .iter()
+            .flat_map(|(parent, outcome)| std::iter::repeat_n(*parent, outcome.emitted()));
         owners.zip(&self.items).scan(0usize, |start, (parent, &(rule, end, fp))| {
             let bytes = &self.buf[*start..end];
             *start = end;
@@ -679,8 +691,9 @@ impl ModelChecker {
     /// Both arms see successors in (frontier order × successor order), and
     /// every serial merge goes through [`Self::merge_chunk`], so the bits
     /// that come out are the same for every arm, thread count, and shard
-    /// count. Fresh states are then property-checked, and the level is
-    /// committed to telemetry.
+    /// count. Fresh states are then property-checked through
+    /// [`Self::check_stored`] (the one check path, which the initial state
+    /// takes too), and the level is committed to telemetry.
     #[allow(clippy::too_many_lines)]
     fn search(&self, start: Start<'_>, props: &[&dyn Property]) -> Exploration {
         let shards = self.opts.shards.unwrap_or(self.opts.threads).max(1);
@@ -752,8 +765,7 @@ impl ModelChecker {
                 s.parents.push(None);
                 s.succ_counts.push(NOT_EXPANDED);
                 if !props.is_empty() {
-                    s.store.decode_into(0, &mut s.scratch);
-                    self.check_state(0, &s.scratch, &s.store, &s.parents, props, &mut s.report);
+                    self.check_stored(&[0], &s.store, &s.parents, &mut s.report, props, 1);
                 }
             }
             Start::Resume(cp) => {
@@ -943,7 +955,7 @@ impl ModelChecker {
                     // counted, before the dedup.
                     for chunk in &expanded {
                         for (parent, outcome) in &chunk.parents {
-                            s.settle(*parent, outcome, &mut cur, false);
+                            s.settle(*parent, outcome);
                         }
                         for &(rule, _, _) in &chunk.items {
                             s.firings[self.rules.dense_index(rule)] += 1;
@@ -953,7 +965,7 @@ impl ModelChecker {
                     queue_depths = self.owner_dedup(&mut s, &expanded);
                 } else {
                     for chunk in &mut expanded {
-                        if self.merge_chunk(&mut s, props, chunk, &mut cur, false) {
+                        if self.merge_chunk(&mut s, props, chunk) {
                             break;
                         }
                     }
@@ -1001,9 +1013,7 @@ impl ModelChecker {
                         &mut s.ring.spare,
                         &mut pchunk,
                     );
-                    // `cur` still holds the decoded parent (firing never
-                    // mutates the source state).
-                    if self.merge_chunk(&mut s, props, &mut pchunk, &mut cur, true) {
+                    if self.merge_chunk(&mut s, props, &mut pchunk) {
                         break;
                     }
                 }
@@ -1013,46 +1023,18 @@ impl ModelChecker {
             let mut stop_violations = self.violation_cap(&s.report);
 
             // Property checking over freshly committed states — on
-            // scoped workers when it pays, with violations applied in
-            // deterministic discovery order either way.
+            // scoped workers when the level is wide enough to pay for
+            // them, with violations recorded in discovery order either way.
             if !stop_violations && !props.is_empty() && !s.new_indices.is_empty() {
                 let check_t = s.clock.tick();
-                if s.new_indices.len() >= expand_min {
-                    let found = self.check_pooled(&s.new_indices, &s.store, props);
-                    for (id, prop_idx, detail) in found {
-                        s.report.violations.push(Violation {
-                            property: props[prop_idx].name().to_string(),
-                            detail,
-                            trace: rebuild_trace(id, &s.store, &s.parents),
-                        });
-                        if s.report.violations.len() >= self.opts.max_violations {
-                            stop_violations = true;
-                            break;
-                        }
-                    }
+                let threads = if s.new_indices.len() >= expand_min {
+                    self.opts.threads
                 } else {
-                    for (k, &id) in s.new_indices.iter().enumerate() {
-                        // The ring still holds this level's stored states
-                        // decoded (it rotates only at level end):
-                        // `next[k]` is the k-th. Past its prefix, decode
-                        // into the reused scratch.
-                        let st: &SystemState = match s.ring.next.get(k) {
-                            Some(st) => {
-                                debug_assert!(**st == s.store.decode(id), "ring out of step");
-                                st
-                            }
-                            None => {
-                                s.store.decode_into(id, &mut s.scratch);
-                                &s.scratch
-                            }
-                        };
-                        self.check_state(id, st, &s.store, &s.parents, props, &mut s.report);
-                        if self.violation_cap(&s.report) {
-                            stop_violations = true;
-                            break;
-                        }
-                    }
-                }
+                    1
+                };
+                let (ids, store, parents) = (&s.new_indices, &s.store, &s.parents);
+                stop_violations =
+                    self.check_stored(ids, store, parents, &mut s.report, props, threads);
                 s.clock.tock(Phase::Check, check_t);
             }
 
@@ -1216,21 +1198,18 @@ impl ModelChecker {
     /// merge its successors ([`Self::merge`]), handing each the decoded
     /// form expansion stole for it. A level the violation cap stops
     /// therefore leaves every later parent unexpanded, whatever arm ran
-    /// it. `decoded` says whether `cur` holds the chunk's (single)
-    /// parent. Returns `true` when the violation cap stops the level.
+    /// it. Returns `true` when the violation cap stops the level.
     fn merge_chunk(
         &self,
         s: &mut Search<'_>,
         props: &[&dyn Property],
         chunk: &mut ExpandedChunk,
-        cur: &mut SystemState,
-        decoded: bool,
     ) -> bool {
         let mut stolen = chunk.decoded.drain(..);
         let mut items = chunk.items.iter();
         let mut start = 0usize;
         for (parent, outcome) in &chunk.parents {
-            let emitted = s.settle(*parent, outcome, cur, decoded);
+            let emitted = s.settle(*parent, outcome);
             for &(rule, end, fp) in items.by_ref().take(emitted) {
                 let encoded = &chunk.buf[start..end];
                 start = end;
@@ -1279,9 +1258,20 @@ impl ModelChecker {
             }
             s.transient.push_encoded(encoded);
             s.transient.decode_into(s.transient.len() - 1, &mut s.scratch);
-            let (store, parents) = (&s.store, &s.parents);
-            self.check_transient(parent, rule, &s.scratch, store, parents, props, &mut s.report);
-            return self.violation_cap(&s.report);
+            // Not stored, so its trace is its parent's plus this step.
+            for p in props {
+                if let PropertyOutcome::Violated(detail) = p.check(&s.scratch) {
+                    let mut trace = rebuild_trace(parent, &s.store, &s.parents);
+                    trace.steps.push(Step {
+                        rule,
+                        state: s.scratch.clone(),
+                    });
+                    if self.record(&mut s.report, p.name(), detail, trace) {
+                        return true;
+                    }
+                }
+            }
+            return false;
         }
         let Some(gid) = s.store.insert(fp, encoded, Some(parent)) else {
             s.ring.recycle(stolen);
@@ -1321,19 +1311,24 @@ impl ModelChecker {
     }
 
     /// A pooled level's parallel dedup, for levels that provably cannot
-    /// truncate: one job per shard, each borrowing its shard as `&mut`
-    /// and reading the level's chunks and the global directory in place
-    /// ([`dedup_owned`]). The commit then assigns global ids to the fresh
-    /// states in global sequence order (frontier order × successor
-    /// order), the ids a serial merge would assign. Returns how many of
-    /// the level's successors each shard owned.
+    /// truncate: one job per worker, each borrowing a contiguous run of
+    /// ⌈S/T⌉ shards as `&mut` and reading the level's chunks and the
+    /// global directory in place ([`dedup_owned`]), so every worker scans
+    /// the level once whatever the shard count. The commit then assigns
+    /// global ids to the fresh states in global sequence order (frontier
+    /// order × successor order), the ids a serial merge would assign.
+    /// Returns how many of the level's successors each shard owned.
     fn owner_dedup(&self, s: &mut Search<'_>, expanded: &[ExpandedChunk]) -> Vec<u32> {
         let ShardedStore { shards, dir, .. } = &mut s.store;
         let (count, dir) = (shards.len(), &*dir);
-        let jobs: Vec<(usize, &mut ShardState)> = shards.iter_mut().enumerate().collect();
-        let per_shard = run(self.opts.threads, jobs, || {
-            |(me, shard): (usize, &mut ShardState)| dedup_owned(me, shard, count, dir, expanded)
+        let per_job = count.div_ceil(self.opts.threads);
+        let jobs = shards.chunks_mut(per_job).enumerate();
+        let per_job_shards = run(self.opts.threads, jobs, || {
+            |(j, own): (usize, &mut [ShardState])| {
+                dedup_owned(j * per_job, own, count, dir, expanded)
+            }
         });
+        let per_shard: Vec<(u32, Vec<FreshSucc>)> = per_job_shards.into_iter().flatten().collect();
         let depths = per_shard.iter().map(|&(owned, _)| owned).collect();
 
         // Commit. Per-shard fresh lists are already seq-sorted, so this
@@ -1361,59 +1356,59 @@ impl ModelChecker {
         report.violations.len() >= self.opts.max_violations && !report.violations.is_empty()
     }
 
-    /// Property-check a successor that was *not* stored because the state
-    /// cap was already reached. Its trace is its parent's trace plus the
-    /// final step.
-    #[allow(clippy::too_many_arguments)]
-    fn check_transient(
-        &self,
-        parent: usize,
-        rule: RuleId,
-        succ: &SystemState,
-        store: &impl StateStore,
-        parents: &[Option<(usize, RuleId)>],
-        props: &[&dyn Property],
-        report: &mut Report,
-    ) {
-        for p in props {
-            if let crate::property::PropertyOutcome::Violated(detail) = p.check(succ) {
-                let mut trace = rebuild_trace(parent, store, parents);
-                trace.steps.push(Step { rule, state: succ.clone() });
-                report.violations.push(Violation {
-                    property: p.name().to_string(),
-                    detail,
-                    trace,
-                });
-                if report.violations.len() >= self.opts.max_violations {
-                    return;
-                }
-            }
-        }
+    /// Record one violation — the single recording step, for stored
+    /// states and the over-cap tail alike. Returns `true` when the
+    /// violation cap stops the search.
+    fn record(&self, report: &mut Report, property: &str, detail: String, trace: Trace) -> bool {
+        report.violations.push(Violation {
+            property: property.to_string(),
+            detail,
+            trace,
+        });
+        self.violation_cap(report)
     }
 
-    /// Property-check stored state `id`, whose decoded form is `st`.
-    fn check_state(
+    /// Property-check stored states `ids` — the one check path, for the
+    /// initial state and every level, fused or pooled. The states ship to
+    /// [`run`] in batches of packed bytes, decoded into one scratch state
+    /// per worker; at one worker each batch is built only as it is
+    /// checked, so a level never holds more than one. Violations are
+    /// recorded in discovery order (state, then property) until the cap;
+    /// returns `true` when the cap stops the search.
+    fn check_stored(
         &self,
-        id: usize,
-        st: &SystemState,
-        store: &impl StateStore,
+        ids: &[usize],
+        store: &ShardedStore,
         parents: &[Option<(usize, RuleId)>],
-        props: &[&dyn Property],
         report: &mut Report,
-    ) {
-        for p in props {
-            let outcome = p.check(st);
-            if let crate::property::PropertyOutcome::Violated(detail) = outcome {
-                report.violations.push(Violation {
-                    property: p.name().to_string(),
-                    detail,
-                    trace: rebuild_trace(id, store, parents),
-                });
-                if report.violations.len() >= self.opts.max_violations {
-                    return;
+        props: &[&dyn Property],
+        threads: usize,
+    ) -> bool {
+        let codec = store.codec;
+        let jobs = ids
+            .chunks(chunk_size(ids.len()))
+            .map(|ids| StateBatch::of(ids, store));
+        let found = run(threads, jobs, || {
+            let mut cur = codec.blank();
+            move |batch: StateBatch| {
+                let mut out = Vec::new();
+                for (id, encoded) in batch.iter() {
+                    codec
+                        .decode_into(encoded, &mut cur)
+                        .expect("driver ships codec output");
+                    for (k, p) in props.iter().enumerate() {
+                        if let PropertyOutcome::Violated(detail) = p.check(&cur) {
+                            out.push((id, k, detail));
+                        }
+                    }
                 }
+                out
             }
-        }
+        });
+        found.into_iter().flatten().any(|(id, k, detail)| {
+            let trace = rebuild_trace(id, store, parents);
+            self.record(report, props[k].name(), detail, trace)
+        })
     }
 }
 
@@ -1434,8 +1429,7 @@ impl ModelChecker {
         let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
         let jobs = frontier
             .chunks(chunk_size(frontier.len()))
-            .map(|ids| StateBatch::of(ids, store))
-            .collect();
+            .map(|ids| StateBatch::of(ids, store));
         run(self.opts.threads, jobs, || {
             let mut cur = Box::new(codec.blank());
             let mut fire_scratch = codec.blank();
@@ -1476,61 +1470,34 @@ impl ModelChecker {
             }
         })
     }
-
-    /// Property-check freshly stored states on scoped workers, returning
-    /// `(state id, property index, detail)` triples in discovery order.
-    fn check_pooled(
-        &self,
-        ids: &[usize],
-        store: &ShardedStore,
-        props: &[&dyn Property],
-    ) -> Vec<(usize, usize, String)> {
-        let codec = store.codec;
-        let jobs = ids
-            .chunks(chunk_size(ids.len()))
-            .map(|ids| StateBatch::of(ids, store))
-            .collect();
-        let found = run(self.opts.threads, jobs, || {
-            let mut cur = codec.blank();
-            move |batch: StateBatch| {
-                let mut out = Vec::new();
-                for (id, encoded) in batch.iter() {
-                    codec
-                        .decode_into(encoded, &mut cur)
-                        .expect("driver ships codec output");
-                    for (prop_idx, p) in props.iter().enumerate() {
-                        if let crate::property::PropertyOutcome::Violated(detail) = p.check(&cur) {
-                            out.push((id, prop_idx, detail));
-                        }
-                    }
-                }
-                out
-            }
-        });
-        found.into_iter().flatten().collect()
-    }
 }
 
-/// States per job of a pooled expand or check phase, balancing hand-out
+/// States per job of an expand or check phase, balancing hand-out
 /// overhead against load balance.
 fn chunk_size(len: usize) -> usize {
     (len / 64).clamp(16, 512)
 }
 
-/// Run one pooled phase: `jobs` on up to `threads` scoped workers, with
-/// the results returned in job order. Each worker builds its job body
-/// with `worker` (which owns that worker's scratch for the phase), then
-/// takes jobs one at a time from one in-order hand-out until it runs
-/// dry. The workers exist only for this call, and a panic on any of
-/// them resumes on the caller once every worker has stopped, so a
-/// pooled run fails as a one-thread run does.
+/// Run one phase: `jobs` on up to `threads` workers, with the results
+/// returned in job order. Each worker builds its job body with `worker`
+/// (which owns that worker's scratch for the phase). One worker is the
+/// caller itself: no thread is spawned, and each job is built only as
+/// it is taken. More workers are scoped threads that exist only for
+/// this call; they take the jobs, built up front, one at a time from one
+/// in-order hand-out until it runs dry, and a panic on any of them
+/// resumes on the caller once every worker has stopped, so a pooled run
+/// fails as a one-thread run does.
 fn run<J: Send, R: Send, W: FnMut(J) -> R>(
     threads: usize,
-    jobs: Vec<J>,
+    jobs: impl ExactSizeIterator<Item = J>,
     worker: impl Fn() -> W + Sync,
 ) -> Vec<R> {
     let workers = threads.min(jobs.len());
-    let handout = Mutex::new(jobs.into_iter().enumerate());
+    if workers <= 1 {
+        return jobs.map(worker()).collect();
+    }
+    // Jobs may borrow the store, which is not `Sync`: build them here.
+    let handout = Mutex::new(jobs.collect::<Vec<J>>().into_iter().enumerate());
     // The guard drops before the job runs, so workers only serialize on
     // taking a job.
     let next = || handout.lock().expect("job hand-out poisoned").next();
@@ -1587,9 +1554,12 @@ struct Search<'r> {
     transient_index: FpIndex,
     /// Has the degradation ladder's first rung fired?
     shed_done: bool,
-    /// The decoded-frontier ring, filled and read by fused inline levels.
+    /// The decoded-frontier ring, filled and read by fused inline levels'
+    /// expansion (nothing else reads it).
     ring: Ring,
-    /// The reused decoded form of a state being property-checked.
+    /// The reused decoded form of an over-cap tail state being
+    /// property-checked (stored states are checked from shipped bytes,
+    /// see [`ModelChecker::check_stored`]).
     scratch: SystemState,
     flight: Flight<'r>,
     clock: PhaseClock,
@@ -1633,41 +1603,28 @@ impl Search<'_> {
     }
 
     /// Record one parent's expansion outcome: its successor count and
-    /// terminal or deadlock status, or its quarantine. `decoded` says
-    /// whether `cur` already holds the parent (it is decoded here only
-    /// when the parent turns out terminal). Returns how many successors
-    /// the parent emitted (none when it was quarantined).
-    fn settle(
-        &mut self,
-        parent: usize,
-        outcome: &Outcome,
-        cur: &mut SystemState,
-        decoded: bool,
-    ) -> usize {
+    /// terminal or deadlock status, or its quarantine. Expansion already
+    /// decided a terminal parent's quiescence, so settling never decodes
+    /// the parent. Returns how many successors the parent emitted.
+    fn settle(&mut self, parent: usize, outcome: &Outcome) -> usize {
         match outcome {
             Outcome::Poisoned(message) => {
                 self.flight.note(FlightKind::Quarantine, parent as u64, 0, message);
                 self.report.quarantined.push(quarantine_of(parent, &self.store, message.clone()));
-                0
             }
-            Outcome::Succs(n) => {
-                self.succ_counts[parent] = (*n).min(u32::MAX - 1);
-                if *n == 0 {
-                    self.report.terminal_states += 1;
-                    if !decoded {
-                        self.store.decode_into(parent, cur);
-                    }
-                    // Frontier order is discovery order, so deadlock
-                    // traces come out in the order the naive rescan
-                    // produced.
-                    if !cur.is_quiescent() {
-                        let trace = rebuild_trace(parent, &self.store, &self.parents);
-                        self.report.deadlocks.push(Deadlock { trace });
-                    }
+            Outcome::Terminal { quiescent } => {
+                self.succ_counts[parent] = 0;
+                self.report.terminal_states += 1;
+                // Frontier order is discovery order, so deadlock traces
+                // come out in the order the naive rescan produced.
+                if !quiescent {
+                    let trace = rebuild_trace(parent, &self.store, &self.parents);
+                    self.report.deadlocks.push(Deadlock { trace });
                 }
-                *n as usize
             }
+            Outcome::Succs(n) => self.succ_counts[parent] = (*n).min(u32::MAX - 1),
         }
+        outcome.emitted()
     }
 
     /// Serialize the search state straight from the store and write it
@@ -1866,8 +1823,8 @@ impl Ring {
 
 /// Read access to stored states by global (discovery-order) id — the
 /// search's [`ShardedStore`] and a plain [`StateArena`] — so trace
-/// rebuilding, quarantines, property checks, the batches shipped to
-/// workers, and the checkpoint encoder read either.
+/// rebuilding, quarantines, the batches shipped to workers, and the
+/// checkpoint encoder read either.
 pub(crate) trait StateStore {
     /// Number of stored states.
     fn len(&self) -> usize;
@@ -2162,35 +2119,38 @@ struct FreshSucc {
     slot: u32,
 }
 
-/// One owner's dedup: walk the level's successors in global sequence
-/// order, keep those shard `me` of `shards` owns, and probe-or-insert
-/// each, storing a fresh one as a delta against its parent when the
-/// parent lives in this shard (`dir` is the global directory). Returns
-/// the owned-successor count and the fresh states in sequence order.
+/// One worker's dedup over its run `own` of shards `first..` of
+/// `shards`: walk the level's successors once, in global sequence
+/// order, keep those the run owns, and probe-or-insert each in its
+/// shard, storing a fresh one as a delta against its parent when the
+/// parent lives in the same shard (`dir` is the global directory).
+/// Returns, per shard of the run, the owned-successor count and the
+/// fresh states in sequence order.
 fn dedup_owned(
-    me: usize,
-    shard: &mut ShardState,
+    first: usize,
+    own: &mut [ShardState],
     shards: usize,
     dir: &[(u32, u32)],
     expanded: &[ExpandedChunk],
-) -> (u32, Vec<FreshSucc>) {
-    let ShardState { index, segment } = shard;
-    let mut owned = 0usize;
-    let mut fresh = Vec::new();
+) -> Vec<(u32, Vec<FreshSucc>)> {
+    let mut out: Vec<(u32, Vec<FreshSucc>)> = own.iter().map(|_| (0, Vec::new())).collect();
     let all = expanded.iter().flat_map(ExpandedChunk::successors);
     for (seq, (parent, rule, bytes, fp)) in (0u64..).zip(all) {
-        if shard_of(fp, shards) != me {
+        let owner = shard_of(fp, shards);
+        if !(first..first + own.len()).contains(&owner) {
             continue;
         }
-        owned += 1;
+        let ShardState { index, segment } = &mut own[owner - first];
+        let (owned, fresh) = &mut out[owner - first];
+        *owned = owned.saturating_add(1);
         let slot = u32::try_from(segment.len()).expect("state count fits u32");
         if index.insert(fp, slot, |id| segment.entry_matches(id as usize, bytes)).is_none() {
             let (ps, pslot) = locate(dir, shards, parent);
-            segment.push_encoded_delta(bytes, (ps == me).then_some(pslot as u32));
+            segment.push_encoded_delta(bytes, (ps == owner).then_some(pslot as u32));
             fresh.push(FreshSucc { seq, parent, rule, slot });
         }
     }
-    (u32::try_from(owned).unwrap_or(u32::MAX), fresh)
+    out
 }
 
 /// Append one successor's encoded (canonical) bytes, fingerprint, and
@@ -2294,11 +2254,12 @@ fn expand_one(
         }
     }));
     let outcome = match expanded {
-        Ok(()) => {
-            let emitted = u32::try_from(chunk.items.len() - items_mark)
-                .unwrap_or(u32::MAX - 1);
-            Outcome::Succs(emitted)
-        }
+        // `cur` still holds the parent (firing never mutates the source
+        // state), so a terminal parent's quiescence is decided here.
+        Ok(()) => match u32::try_from(chunk.items.len() - items_mark).unwrap_or(u32::MAX - 1) {
+            0 => Outcome::Terminal { quiescent: cur.is_quiescent() },
+            emitted => Outcome::Succs(emitted),
+        },
         Err(payload) => {
             spare.extend(chunk.decoded.drain(decoded_mark..));
             chunk.items.truncate(items_mark);
@@ -2401,34 +2362,12 @@ fn rebuild_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::property::{boolean_property, SwmrProperty};
+    use crate::property::SwmrProperty;
     use cxl_core::instr::programs;
-    use cxl_core::{ProtocolConfig, Relaxation};
+    use cxl_core::ProtocolConfig;
 
     fn checker(cfg: ProtocolConfig) -> ModelChecker {
         ModelChecker::new(Ruleset::new(cfg))
-    }
-
-    #[test]
-    fn empty_programs_yield_single_quiescent_state() {
-        let mc = checker(ProtocolConfig::strict());
-        let exp = mc.explore(&SystemState::initial(vec![], vec![]), &[&SwmrProperty]);
-        assert_eq!(exp.report.states, 1);
-        assert_eq!(exp.report.terminal_states, 1);
-        assert!(exp.report.clean());
-        assert_eq!(exp.is_terminal(0), Some(true));
-    }
-
-    #[test]
-    fn single_load_explores_and_terminates_cleanly() {
-        let mc = checker(ProtocolConfig::strict());
-        let exp = mc.explore(&SystemState::initial(programs::load(), vec![]), &[&SwmrProperty]);
-        assert!(exp.report.clean(), "{}", exp.report);
-        assert!(exp.report.states > 3);
-        assert!(!exp.report.truncated);
-        // Every terminal state is quiescent; the load must complete.
-        assert!(exp.report.terminal_states >= 1);
-        assert_eq!(exp.terminal_indices().count(), exp.report.terminal_states);
     }
 
     #[test]
@@ -2459,48 +2398,6 @@ mod tests {
         }
         assert!(exp.bytes_per_state() > 0.0);
         assert!(exp.report.memory_bytes >= exp.arena.byte_len());
-    }
-
-    #[test]
-    fn violation_traces_replay_from_initial_state() {
-        // Force a violation with a trivially false property and confirm the
-        // trace replays.
-        let mc = checker(ProtocolConfig::strict());
-        let init = SystemState::initial(programs::load(), vec![]);
-        let p = boolean_property("no_isad", |s: &SystemState| {
-            s.dev(cxl_core::DeviceId::D1).cache.state != cxl_core::DState::ISAD
-        });
-        let report = mc.check(&init, &[&p]);
-        assert_eq!(report.violations.len(), 1);
-        let trace = &report.violations[0].trace;
-        // Replay the trace through the rule engine.
-        let rules = Ruleset::new(ProtocolConfig::strict());
-        let mut cur = trace.initial.clone();
-        for step in &trace.steps {
-            cur = rules.try_fire(step.rule, &cur).expect("trace step must be enabled");
-            assert_eq!(&cur, &step.state, "trace state mismatch");
-        }
-    }
-
-    #[test]
-    fn snoop_pushes_go_relaxation_breaks_swmr() {
-        // The headline result (paper Table 3 / Figure 5): relaxing
-        // Snoop-pushes-GO makes an SWMR violation reachable.
-        let mc = checker(ProtocolConfig::relaxed(Relaxation::SnoopPushesGo));
-        let init = SystemState::initial(programs::store(42), programs::load());
-        let report = mc.check(&init, &[&SwmrProperty]);
-        assert!(
-            !report.violations.is_empty(),
-            "relaxed model must reach an SWMR violation: {report}"
-        );
-    }
-
-    #[test]
-    fn naive_tracking_relaxation_breaks_swmr() {
-        let mc = checker(ProtocolConfig::relaxed(Relaxation::NaiveTransientTracking));
-        let init = SystemState::initial(programs::store(42), programs::load());
-        let report = mc.check(&init, &[&SwmrProperty]);
-        assert!(!report.violations.is_empty(), "naive tracking must violate SWMR: {report}");
     }
 
     #[test]

@@ -55,14 +55,10 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.cxlckpt";
 /// generation; [`FORMAT_VERSION`] tracks compatible revisions).
 const MAGIC: &[u8; 8] = b"CXLCKPT1";
 
-/// Format version written after the magic; readers refuse anything newer.
-/// Version 2 (PR 9) appended the flight-recorder event ring after the
-/// degradation-ladder section; version-1 files are still read (their
-/// ring is simply empty — pre-telemetry campaigns resume untouched).
+/// Format version written after the magic, and the only one read.
+/// Version 2 appended the flight-recorder event ring after the
+/// degradation-ladder section; version-1 files are refused.
 const FORMAT_VERSION: u64 = 2;
-
-/// Oldest format version this build still reads.
-const MIN_FORMAT_VERSION: u64 = 1;
 
 /// The rolling checkpoint path inside `dir`.
 #[must_use]
@@ -261,9 +257,10 @@ impl CheckpointSource<'_> {
         match self.reduction_stats {
             None => out.push(0),
             Some(stats) => {
-                // Tag 2 appends the host-drain ample counter; the canon
-                // engine name and group order are derived from config at
-                // resume time, so they are deliberately not serialized.
+                // Tag 2 carries the host-drain ample counter (tag 1,
+                // which lacked it, is refused); the canon engine name and
+                // group order are derived from config at resume time, so
+                // they are deliberately not serialized.
                 out.push(2);
                 put_varint(&mut out, stats.orbit_canonicalized);
                 put_varint(&mut out, stats.value_canonicalized);
@@ -409,9 +406,9 @@ pub struct Checkpoint {
     /// Reduction-engine counters to restore via
     /// [`cxl_reduce::Reducer::restore_stats`].
     pub reduction_stats: Option<ReductionStats>,
-    /// Flight-recorder events retained when the checkpoint was written
-    /// (empty for version-1 files). Restored into the resuming run's
-    /// ring so the campaign's event history survives the crash.
+    /// Flight-recorder events retained when the checkpoint was written,
+    /// restored into the resuming run's ring so the campaign's event
+    /// history survives the crash.
     pub flight: Vec<FlightEvent>,
 }
 
@@ -440,10 +437,9 @@ impl Checkpoint {
             return Err(corrupt("bad magic (not a checkpoint file)".into()));
         }
         let version = r.varint()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(corrupt(format!(
-                "unsupported format version {version} (this build reads \
-                 {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                "unsupported format version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
         let fingerprint = u64::from_le_bytes(r.take(8)?.try_into().expect("8-byte take"));
@@ -544,14 +540,12 @@ impl Checkpoint {
 
         let reduction_stats = match r.byte()? {
             0 => None,
-            // Tag 1 predates the host-drain counter; its checkpoints
-            // resume with that counter reset to zero.
-            tag @ (1 | 2) => Some(ReductionStats {
+            2 => Some(ReductionStats {
                 orbit_canonicalized: r.varint()?,
                 value_canonicalized: r.varint()?,
                 ample_local: r.varint()?,
                 ample_diamond: r.varint()?,
-                ample_host_drain: if tag == 2 { r.varint()? } else { 0 },
+                ample_host_drain: r.varint()?,
                 ..ReductionStats::default()
             }),
             other => return Err(corrupt(format!("bad reduction tag {other}"))),
@@ -612,20 +606,17 @@ impl Checkpoint {
                 footprint: usize_of(r.varint()?)?,
             });
         }
-        let mut flight = Vec::new();
-        if version >= 2 {
-            let flight_len = r.len_prefix(4)?;
-            flight.reserve(flight_len);
-            for _ in 0..flight_len {
-                let seq = r.varint()?;
-                let tag = r.byte()?;
-                let kind = FlightKind::from_tag(tag)
-                    .ok_or_else(|| corrupt(format!("bad flight-event tag {tag}")))?;
-                let a = r.varint()?;
-                let b = r.varint()?;
-                let detail = string_of(r.bytes()?)?;
-                flight.push(FlightEvent { seq, kind, a, b, detail });
-            }
+        let flight_len = r.len_prefix(4)?;
+        let mut flight = Vec::with_capacity(flight_len);
+        for _ in 0..flight_len {
+            let seq = r.varint()?;
+            let tag = r.byte()?;
+            let kind = FlightKind::from_tag(tag)
+                .ok_or_else(|| corrupt(format!("bad flight-event tag {tag}")))?;
+            let a = r.varint()?;
+            let b = r.varint()?;
+            let detail = string_of(r.bytes()?)?;
+            flight.push(FlightEvent { seq, kind, a, b, detail });
         }
         if !r.finished() {
             return Err(corrupt(format!("{} trailing bytes after checkpoint", r.remaining())));

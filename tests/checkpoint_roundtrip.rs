@@ -9,11 +9,14 @@
 //!    [`CheckpointError`]: never a panic, never a silently-wrong resume
 //!    (the trailing whole-file checksum plus per-state fingerprint
 //!    cross-checks see to that).
+//! 3. **One format** — a well-formed file of an older format version is
+//!    refused by name, not read under the current layout.
 
 use cxl_repro::core::instr::Instruction;
-use cxl_repro::core::{ProtocolConfig, Ruleset, SystemState};
+use cxl_repro::core::{ProtocolConfig, Ruleset, StateCodec, SystemState};
 use cxl_repro::mc::{
-    checkpoint_path, CheckOptions, Checkpoint, CheckpointPolicy, ModelChecker, SwmrProperty,
+    checkpoint_path, CheckOptions, Checkpoint, CheckpointError, CheckpointPolicy, ModelChecker,
+    SwmrProperty,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -169,4 +172,31 @@ fn every_truncation_of_a_valid_checkpoint_is_rejected() {
     assert!(Checkpoint::from_bytes(&padded, &rules).is_err(), "trailing byte must be rejected");
     // And the untouched original still parses.
     assert!(Checkpoint::from_bytes(&bytes, &rules).is_ok());
+}
+
+#[test]
+fn format_version_1_is_refused() {
+    // Only format version 2 is written and read. Rewrite a valid file's
+    // version varint (the byte after the magic) to 1 and recompute the
+    // trailing checksum, so the version is the only thing wrong with it.
+    let (mut bytes, rules) = checkpoint_bytes(
+        "version1",
+        vec![vec![Instruction::Store(1)], vec![Instruction::Load]],
+        None,
+    );
+    assert_eq!(&bytes[..8], b"CXLCKPT1", "magic");
+    assert_eq!(bytes[8], 2, "the writer emits format version 2");
+    bytes[8] = 1;
+    let body = bytes.len() - 8;
+    let sum = StateCodec::fingerprint(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    match Checkpoint::from_bytes(&bytes, &rules).map(|_| ()) {
+        Err(CheckpointError::Corrupt(why)) => {
+            assert!(
+                why.contains("unsupported format version 1"),
+                "wrong refusal: {why}"
+            );
+        }
+        other => panic!("a version-1 file must be refused as corrupt, got {other:?}"),
+    }
 }

@@ -2,7 +2,10 @@
 //! and shard count, so these pin it against itself across thread counts
 //! (inline and pooled), against the naive reference pipeline, and at
 //! every early stop — `max_states`, the memory budget, pruning, and the
-//! over-cap tail that still property-checks a truncated level.
+//! over-cap tail that still property-checks a truncated level. The
+//! checker's basic scenarios follow: a one-state space, a clean load,
+//! a replayable violation trace, and the two relaxations that break
+//! SWMR.
 
 use cxl_core::instr::programs;
 use cxl_core::{ProtocolConfig, Relaxation, Ruleset, SystemState};
@@ -160,4 +163,68 @@ fn parallel_property_checking_matches_sequential() {
     assert_eq!(a.property, b.property);
     assert_eq!(a.trace.len(), b.trace.len());
     assert_eq!(a.trace.last_state(), b.trace.last_state());
+}
+
+#[test]
+fn empty_programs_yield_single_quiescent_state() {
+    let mc = checker(ProtocolConfig::strict());
+    let exp = mc.explore(&SystemState::initial(vec![], vec![]), &[&SwmrProperty]);
+    assert_eq!(exp.report.states, 1);
+    assert_eq!(exp.report.terminal_states, 1);
+    assert!(exp.report.clean());
+    assert_eq!(exp.is_terminal(0), Some(true));
+}
+
+#[test]
+fn single_load_explores_and_terminates_cleanly() {
+    let mc = checker(ProtocolConfig::strict());
+    let exp = mc.explore(&SystemState::initial(programs::load(), vec![]), &[&SwmrProperty]);
+    assert!(exp.report.clean(), "{}", exp.report);
+    assert!(exp.report.states > 3);
+    assert!(!exp.report.truncated);
+    // Every terminal state is quiescent; the load must complete.
+    assert!(exp.report.terminal_states >= 1);
+    assert_eq!(exp.terminal_indices().count(), exp.report.terminal_states);
+}
+
+#[test]
+fn violation_traces_replay_from_initial_state() {
+    // Force a violation with a trivially false property and confirm the
+    // trace replays.
+    let mc = checker(ProtocolConfig::strict());
+    let init = SystemState::initial(programs::load(), vec![]);
+    let p = boolean_property("no_isad", |s: &SystemState| {
+        s.dev(cxl_core::DeviceId::D1).cache.state != cxl_core::DState::ISAD
+    });
+    let report = mc.check(&init, &[&p]);
+    assert_eq!(report.violations.len(), 1);
+    let trace = &report.violations[0].trace;
+    // Replay the trace through the rule engine.
+    let rules = Ruleset::new(ProtocolConfig::strict());
+    let mut cur = trace.initial.clone();
+    for step in &trace.steps {
+        cur = rules.try_fire(step.rule, &cur).expect("trace step must be enabled");
+        assert_eq!(&cur, &step.state, "trace state mismatch");
+    }
+}
+
+#[test]
+fn snoop_pushes_go_relaxation_breaks_swmr() {
+    // The headline result (paper Table 3 / Figure 5): relaxing
+    // Snoop-pushes-GO makes an SWMR violation reachable.
+    let mc = checker(ProtocolConfig::relaxed(Relaxation::SnoopPushesGo));
+    let init = SystemState::initial(programs::store(42), programs::load());
+    let report = mc.check(&init, &[&SwmrProperty]);
+    assert!(
+        !report.violations.is_empty(),
+        "relaxed model must reach an SWMR violation: {report}"
+    );
+}
+
+#[test]
+fn naive_tracking_relaxation_breaks_swmr() {
+    let mc = checker(ProtocolConfig::relaxed(Relaxation::NaiveTransientTracking));
+    let init = SystemState::initial(programs::store(42), programs::load());
+    let report = mc.check(&init, &[&SwmrProperty]);
+    assert!(!report.violations.is_empty(), "naive tracking must violate SWMR: {report}");
 }

@@ -307,12 +307,14 @@ impl Recorder for Levels {
 #[test]
 fn pooled_levels_dedup_routed() {
     // Every pooled level of the grid (10–27) cannot truncate, so its
-    // dedup runs on workers that each borrow one shard and keep the
-    // level's successors that shard owns; the result must not change.
+    // dedup runs on workers that each borrow a contiguous run of shards
+    // (one shard each at two and three shards, four each at eight) and
+    // keep the level's successors those shards own; the result must not
+    // change, and the queue depths stay per shard.
     let cfg = ProtocolConfig::strict();
     let init = wide_grid();
     let seq = explore_with(cfg, 3, &init, CheckOptions::default());
-    for shards in [2usize, 3] {
+    for shards in [2usize, 3, 8] {
         let ctx = format!("N=3 wide grid threads=2 shards={shards}");
         let levels = Arc::new(Levels::default());
         let pooled = explore_with(
@@ -327,18 +329,81 @@ fn pooled_levels_dedup_routed() {
             },
         );
         assert_identical(&seq, &pooled, &ctx);
-        let routed = levels
-            .0
-            .lock()
-            .expect("recorder lock")
-            .iter()
-            .filter(|l| {
-                l.shards
-                    .as_ref()
-                    .is_some_and(|s| !s.queue_depths.is_empty())
-            })
-            .count();
+        let levels = levels.0.lock().expect("recorder lock");
+        let mut routed = 0;
+        for level in levels.iter() {
+            let Some(stats) = level.shards.as_ref().filter(|s| !s.queue_depths.is_empty()) else {
+                continue;
+            };
+            routed += 1;
+            let depth = level.depth;
+            assert_eq!(
+                stats.queue_depths.len(),
+                shards,
+                "{ctx}: level {depth} depths per shard"
+            );
+            let owned: usize = stats.queue_depths.iter().map(|&d| d as usize).sum();
+            assert_eq!(
+                owned, level.transitions,
+                "{ctx}: level {depth} owners cover its successors"
+            );
+        }
         assert!(routed > 0, "{ctx}: no level dedup routed");
+    }
+}
+
+/// The N = 3 grid [S1,E]×[L,E]×[S3]: 13,919 states under the
+/// GO-cannot-tailgate-snoop relaxation, 193 of them terminal and 65
+/// deadlocked. Every deadlock lies at depth 12 or 18, whose frontiers
+/// hold 723 and 1,475 states, so at two threads each one is classified
+/// on a pooled level.
+fn deadlock_grid() -> SystemState {
+    SystemState::initial_n(
+        3,
+        vec![
+            vec![Instruction::Store(1), Instruction::Evict].into(),
+            vec![Instruction::Load, Instruction::Evict].into(),
+            vec![Instruction::Store(3)].into(),
+        ],
+    )
+}
+
+#[test]
+fn pooled_deadlocks_match_the_naive_oracle() {
+    // Terminal parents settle from the quiescence expansion decided, on
+    // the driver or on a worker; the deadlock traces must come out as
+    // the naive reference's rescan finds them, at every thread and
+    // shard count.
+    let cfg = ProtocolConfig::relaxed(Relaxation::GoCannotTailgateSnoop);
+    let init = deadlock_grid();
+    let naive = ModelChecker::new(Ruleset::with_devices(cfg, 3)).explore_naive(&init, &[]);
+    assert_eq!(naive.report.states, 13_919, "grid size");
+    assert_eq!(naive.report.terminal_states, 193, "terminals");
+    assert_eq!(naive.report.deadlocks.len(), 65, "deadlocks");
+    for threads in [1usize, 2] {
+        for shards in [1usize, 2, 3] {
+            let ctx = format!("deadlock grid threads={threads} shards={shards}");
+            let exp = ModelChecker::with_options(
+                Ruleset::with_devices(cfg, 3),
+                CheckOptions {
+                    threads,
+                    shards: Some(shards),
+                    ..CheckOptions::default()
+                },
+            )
+            .explore(&init, &[]);
+            assert_eq!(exp.arena, naive.arena, "{ctx}: packed arena bytes");
+            assert_eq!(
+                exp.successor_counts, naive.successor_counts,
+                "{ctx}: successor counts"
+            );
+            assert_eq!(exp.report.terminal_states, 193, "{ctx}: terminals");
+            let (got, want) = (&exp.report.deadlocks, &naive.report.deadlocks);
+            assert_eq!(got.len(), want.len(), "{ctx}: deadlock count");
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_traces_eq(&g.trace, &w.trace, &format!("{ctx}: deadlock {i}"));
+            }
+        }
     }
 }
 
