@@ -121,8 +121,10 @@
 //! when more than one shard ran.
 //!
 //! Out-of-range input is refused with exit 64, never misread: a
-//! `--threads` or `--shards` of 0, and a `--mem-budget-mb` or
-//! `--spill-budget-mb` whose byte count overflows.
+//! `--threads` or `--shards` of 0, a `--mem-budget-mb` or
+//! `--spill-budget-mb` whose byte count overflows, and any argument
+//! `--help` does not list, a flag missing its value, or a flag given
+//! twice.
 
 use cxl_core::instr::Instruction;
 use cxl_core::{
@@ -166,6 +168,59 @@ fn parse_relaxation(name: &str) -> Result<Relaxation, String> {
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+}
+
+/// The flags [`USAGE`] lists that take a value, besides `--p1` … `--p8`.
+const VALUED: [&str; 17] = [
+    "--devices",
+    "--relax",
+    "--threads",
+    "--shards",
+    "--symmetry",
+    "--data-symmetry",
+    "--canon",
+    "--por",
+    "--mem-budget-mb",
+    "--time-budget-ms",
+    "--checkpoint-dir",
+    "--checkpoint-every-ms",
+    "--delta-keyframe",
+    "--spill-dir",
+    "--spill-budget-mb",
+    "--progress",
+    "--metrics-out",
+];
+
+/// The switches [`USAGE`] lists (`--help` is answered before any check).
+const SWITCHES: [&str; 5] = ["--full", "--trace", "--resume", "--firings", "--expect-clean"];
+
+/// Check argv against the flags [`USAGE`] lists. [`arg_value`] looks
+/// flags up by name, so an unknown flag, a stray token, a flag with no
+/// value or a repeated flag would otherwise be silently ignored.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(flag) = rest.next() {
+        let program = flag.strip_prefix("--p").and_then(|i| i.parse::<usize>().ok());
+        let program = program.filter(|i| format!("--p{i}") == flag);
+        if let Some(i) = program.filter(|i| !(1..=Topology::MAX_DEVICES).contains(i)) {
+            let max = Topology::MAX_DEVICES;
+            return Err(format!("--p{i} outside supported device range 1..={max}"));
+        }
+        let valued = program.is_some() || VALUED.contains(&flag);
+        if !valued && !SWITCHES.contains(&flag) {
+            return Err(format!("unknown argument {flag:?} (see --help)"));
+        }
+        if seen.contains(&flag) {
+            return Err(format!("{flag} given twice"));
+        }
+        seen.push(flag);
+        // A value that is itself a flag is a missing value, not a value.
+        if valued && rest.next().is_none_or(|value| value.starts_with("--")) {
+            return Err(format!("{flag} needs a value"));
+        }
+    }
+    Ok(())
 }
 
 /// Parse `flag`'s value as a count of at least one (threads, shards).
@@ -268,20 +323,8 @@ fn main() {
         return;
     }
     let run = || -> Result<(), Failure> {
-        // One program per device: --p1 … --p8. A `--p<i>` outside the
-        // supported device range would otherwise be skipped by the loop
-        // below and silently drop the user's program — reject it.
-        for a in &args {
-            if let Some(i) = a.strip_prefix("--p").and_then(|s| s.parse::<usize>().ok()) {
-                if !(1..=Topology::MAX_DEVICES).contains(&i) {
-                    return Err(format!(
-                        "--p{i} outside supported device range 1..={}",
-                        Topology::MAX_DEVICES
-                    )
-                    .into());
-                }
-            }
-        }
+        check_args(&args)?;
+        // One program per device: --p1 … --p8.
         let mut programs: Vec<Vec<Instruction>> = Vec::new();
         let mut highest_prog = 0usize;
         for i in 1..=Topology::MAX_DEVICES {

@@ -3,7 +3,10 @@
 //! A budget whose byte count overflows, or a thread or shard count of
 //! zero, must exit 64 with an error naming the flag; before, the budget
 //! wrapped to a tiny one (2^44 MiB ran with a 0-byte store and truncated
-//! after two states) and a zero count silently ran as one.
+//! after two states) and a zero count silently ran as one. So must an
+//! argument `--help` does not list, a flag without its value and a flag
+//! given twice, which were once ignored: a mistyped `--expect-clean`
+//! turned the CI gate off.
 
 use std::process::{Command, Output};
 
@@ -54,6 +57,24 @@ fn overflowing_budgets_are_refused() {
 fn zero_threads_and_shards_are_refused() {
     assert_refused(&["--threads", "0"], "bad --threads: 0 (must be at least 1)");
     assert_refused(&["--shards", "0"], "bad --shards: 0 (must be at least 1)");
+}
+
+#[test]
+fn unknown_valueless_and_repeated_arguments_are_refused() {
+    assert_refused(&["--thread", "0"], "unknown argument \"--thread\"");
+    // The Table 3 violation must not exit 0 behind a mistyped gate.
+    assert_refused(
+        &["--relax", "snoop-pushes-go", "--expect-clen"],
+        "unknown argument \"--expect-clen\"",
+    );
+    assert_refused(&["stray"], "unknown argument \"stray\"");
+    assert_refused(&["--p01", "L"], "unknown argument \"--p01\"");
+    assert_refused(&["--p9", "L"], "--p9 outside supported device range 1..=8");
+    assert_refused(&["--threads"], "--threads needs a value");
+    assert_refused(&["--threads", "--full"], "--threads needs a value");
+    // The helper passes `--p1 S42 --p2 L` first.
+    assert_refused(&["--p1", "L"], "--p1 given twice");
+    assert_refused(&["--full", "--full"], "--full given twice");
 }
 
 #[test]

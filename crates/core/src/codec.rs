@@ -43,7 +43,9 @@ use crate::msg::{
     H2DRspType,
 };
 use crate::state::{DeviceState, SystemState};
+use std::cell::RefCell;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A malformed byte stream handed to [`StateCodec::decode`].
 ///
@@ -80,6 +82,12 @@ type ParseResult<T> = Result<T, Box<CodecError>>;
 // A wider error must fail the build, not silently double the cost of
 // every read on the decode, canonicalization and delta paths.
 const _: () = assert!(std::mem::size_of::<ParseResult<u64>>() <= 16);
+
+// The checker's phase workers decode from one shared store at once.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<StateArena>();
+};
 
 /// Build a parse error. Kept out of line so the formatting code stays off
 /// the hot path of every caller.
@@ -1197,19 +1205,34 @@ struct SpillState {
     spilled_entries: usize,
 }
 
-/// Reusable decode-side buffers of one arena: the ping-pong pair and
-/// chain list for delta materialization, one buffer for cold delta
-/// bytes, the encode-side delta attempt buffer, and the pinned-extent
-/// fault-in cache (MRU first). Interior-mutable so `&self` decode paths
-/// can materialize; never shared across threads (the arena moves
-/// wholesale between owners, it is not `Sync`).
-#[derive(Clone, Debug, Default)]
+/// Reusable materialization buffers: the ping-pong pair and chain list
+/// for delta replay, one buffer for cold delta bytes, and the
+/// encode-side delta attempt buffer.
 struct ArenaScratch {
     bufs: [Vec<u8>; 2],
     chain: Vec<u32>,
     cold: Vec<u8>,
     delta: Vec<u8>,
-    cache: Vec<(usize, Vec<u8>)>,
+}
+
+thread_local! {
+    /// One [`ArenaScratch`] per thread, shared by every arena the thread
+    /// reads, so several threads can materialize from one `&StateArena`.
+    static SCRATCH: RefCell<ArenaScratch> = const {
+        RefCell::new(ArenaScratch {
+            bufs: [Vec::new(), Vec::new()],
+            chain: Vec::new(),
+            cold: Vec::new(),
+            delta: Vec::new(),
+        })
+    };
+}
+
+/// A spilling arena's pinned-extent fault-in cache (MRU first) and its
+/// fault count.
+#[derive(Default)]
+struct ExtentCache {
+    slots: Vec<(usize, Vec<u8>)>,
     faults: u64,
 }
 
@@ -1259,7 +1282,9 @@ pub struct StateArena {
     /// Entries stored in delta form.
     delta_entries: usize,
     spill: Option<SpillState>,
-    scratch: std::cell::RefCell<ArenaScratch>,
+    /// Reads lock it only when they touch a sealed entry, which pooled
+    /// expansion and the property check never do.
+    cache: Mutex<ExtentCache>,
 }
 
 impl Clone for StateArena {
@@ -1273,7 +1298,7 @@ impl Clone for StateArena {
             full_payload_bytes: self.full_payload_bytes,
             delta_entries: self.delta_entries,
             spill: self.spill.clone(),
-            scratch: std::cell::RefCell::new(ArenaScratch::default()),
+            cache: Mutex::default(),
         }
     }
 }
@@ -1292,8 +1317,8 @@ impl fmt::Debug for StateArena {
 }
 
 /// Equality is over stored content (codec, payload, offsets, delta
-/// layout, spill layout) — the decode-side scratch and fault-in cache
-/// are excluded, so a faulted arena still equals its untouched clone.
+/// layout, spill layout) — the fault-in cache is excluded, so a faulted
+/// arena still equals its untouched clone.
 impl PartialEq for StateArena {
     fn eq(&self, other: &Self) -> bool {
         self.codec == other.codec
@@ -1320,7 +1345,7 @@ impl StateArena {
             full_payload_bytes: 0,
             delta_entries: 0,
             spill: None,
-            scratch: std::cell::RefCell::new(ArenaScratch::default()),
+            cache: Mutex::default(),
         }
     }
 
@@ -1366,13 +1391,7 @@ impl StateArena {
         let spill = self.spill.as_ref().map_or(0, |s| {
             s.extents.capacity() * std::mem::size_of::<Extent>()
         });
-        let cache: usize = self
-            .scratch
-            .borrow()
-            .cache
-            .iter()
-            .map(|(_, payload)| payload.capacity())
-            .sum();
+        let cache: usize = self.cache().slots.iter().map(|(_, p)| p.capacity()).sum();
         self.bytes.capacity()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.bases.capacity() * std::mem::size_of::<u32>()
@@ -1520,7 +1539,7 @@ impl StateArena {
     /// accesses).
     #[must_use]
     pub fn faulted_extents(&self) -> u64 {
-        self.scratch.borrow().faults
+        self.cache().faults
     }
 
     /// Resident payload bytes (the spill watermark's input).
@@ -1604,36 +1623,33 @@ impl StateArena {
         if depth >= self.keyframe_every as usize {
             return self.push_encoded(full);
         }
-        let mut scratch = self.scratch.take();
-        let mut delta = std::mem::take(&mut scratch.delta);
-        delta.clear();
-        let encoded_ok = {
-            let (base_full, layout) = self.materialize_entry(&mut scratch, b);
-            // A walked chain already knows its result's layout; a
-            // resident keyframe is parsed here.
-            layout
-                .map_or_else(|| self.codec.delta_segments(base_full), Ok)
-                .and_then(|ps| {
-                    self.codec
-                        .encode_delta_from(base_full, &ps, full, &mut delta)
-                })
-                .is_ok()
-        };
-        let use_delta = encoded_ok && delta.len() < full.len();
-        let id = self.offsets.len();
-        self.offsets.push(self.byte_len());
-        if use_delta {
-            self.bytes.extend_from_slice(&delta);
-            self.bases.push(b as u32);
-            self.delta_entries += 1;
-        } else {
-            self.bytes.extend_from_slice(full);
-            self.bases.push(NO_BASE);
-        }
-        self.full_payload_bytes += full.len();
-        scratch.delta = delta;
-        self.scratch.replace(scratch);
-        id
+        SCRATCH.with_borrow_mut(|scratch| {
+            let mut delta = std::mem::take(&mut scratch.delta);
+            delta.clear();
+            let encoded_ok = {
+                let (base_full, layout) = self.materialize_entry(scratch, b);
+                // A walked chain already knows its result's layout; a
+                // resident keyframe is parsed here.
+                layout
+                    .map_or_else(|| self.codec.delta_segments(base_full), Ok)
+                    .and_then(|ps| self.codec.encode_delta_from(base_full, &ps, full, &mut delta))
+                    .is_ok()
+            };
+            let use_delta = encoded_ok && delta.len() < full.len();
+            let id = self.offsets.len();
+            self.offsets.push(self.byte_len());
+            if use_delta {
+                self.bytes.extend_from_slice(&delta);
+                self.bases.push(b as u32);
+                self.delta_entries += 1;
+            } else {
+                self.bytes.extend_from_slice(full);
+                self.bases.push(NO_BASE);
+            }
+            self.full_payload_bytes += full.len();
+            scratch.delta = delta;
+            id
+        })
     }
 
     /// Logical end offset of entry `id`.
@@ -1685,41 +1701,48 @@ impl StateArena {
         self.stored(id)
     }
 
+    /// The fault-in cache. An unreadable extent panics before the cache
+    /// changes, so a lock that panic poisoned still guards a sound cache.
+    fn cache(&self) -> MutexGuard<'_, ExtentCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Copy the stored bytes of entry `id` (delta or full) to `out`,
-    /// faulting its extent in when spilled.
-    fn copy_stored(
-        &self,
+    /// faulting its extent in when spilled. The cache is locked at the
+    /// first sealed entry and held in `cache` for the caller's later ones.
+    fn copy_stored<'a>(
+        &'a self,
         id: usize,
         out: &mut Vec<u8>,
-        cache: &mut Vec<(usize, Vec<u8>)>,
-        faults: &mut u64,
+        cache: &mut Option<MutexGuard<'a, ExtentCache>>,
     ) {
         if self.is_resident(id) {
             out.extend_from_slice(self.stored(id));
             return;
         }
+        let ExtentCache { slots, faults } = &mut **cache.get_or_insert_with(|| self.cache());
         let spill = self.spill.as_ref().expect("non-resident entry without spill state");
         let e = spill
             .extents
             .partition_point(|ext| ext.end_entry <= id);
         let ext = &spill.extents[e];
         debug_assert!(ext.start_entry <= id && id < ext.end_entry);
-        let slot = cache.iter().position(|(idx, _)| *idx == e);
+        let slot = slots.iter().position(|(idx, _)| *idx == e);
         let payload: &Vec<u8> = match slot {
-            Some(0) => &cache[0].1,
+            Some(0) => &slots[0].1,
             Some(i) => {
-                let hit = cache.remove(i);
-                cache.insert(0, hit);
-                &cache[0].1
+                let hit = slots.remove(i);
+                slots.insert(0, hit);
+                &slots[0].1
             }
             None => {
                 let payload = read_extent(ext).unwrap_or_else(|err| {
                     panic!("spill extent {} unreadable: {err}", ext.path.display())
                 });
                 *faults += 1;
-                cache.insert(0, (e, payload));
-                cache.truncate(EXTENT_CACHE_CAP);
-                &cache[0].1
+                slots.insert(0, (e, payload));
+                slots.truncate(EXTENT_CACHE_CAP);
+                &slots[0].1
             }
         };
         let start = self.offsets[id] - ext.start_byte;
@@ -1742,7 +1765,8 @@ impl StateArena {
         if self.is_full_entry(id) && self.is_resident(id) {
             return (self.stored(id), None);
         }
-        let ArenaScratch { bufs, chain, cold, cache, faults, .. } = scratch;
+        let ArenaScratch { bufs, chain, cold, .. } = scratch;
+        let mut cache = None;
         chain.clear();
         let mut cur = id;
         while !self.is_full_entry(cur) {
@@ -1752,7 +1776,7 @@ impl StateArena {
         let [a, b] = bufs;
         let (mut src, mut dst) = (a, b);
         src.clear();
-        self.copy_stored(cur, src, cache, faults);
+        self.copy_stored(cur, src, &mut cache);
         if chain.is_empty() {
             return (src, None);
         }
@@ -1766,7 +1790,7 @@ impl StateArena {
                 self.stored(e)
             } else {
                 cold.clear();
-                self.copy_stored(e, cold, cache, faults);
+                self.copy_stored(e, cold, &mut cache);
                 &cold[..]
             };
             dst.clear();
@@ -1779,21 +1803,25 @@ impl StateArena {
         (src, Some(spans))
     }
 
+    /// Run `f` on entry `id`'s full encoding: its stored bytes when it is
+    /// a resident keyframe, else materialized in this thread's scratch.
+    fn with_full<R>(&self, id: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        if self.is_full_entry(id) && self.is_resident(id) {
+            return f(self.stored(id));
+        }
+        SCRATCH.with_borrow_mut(|scratch| f(self.materialize_entry(scratch, id).0))
+    }
+
     /// Append the **full encoding** of state `id` to `out`, whatever its
     /// storage form — byte-identical to what was originally pushed. The
     /// delta/spill-safe replacement for [`Self::bytes_of`] on paths that
     /// may touch compressed or cold entries (checkpointing, quarantine
-    /// records, the pool's chunk protocol, shard merges).
+    /// records, shard merges).
     ///
     /// # Panics
     /// Panics if `id` is out of range or a spilled extent is unreadable.
     pub fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
-        if self.is_full_entry(id) && self.is_resident(id) {
-            out.extend_from_slice(self.stored(id));
-            return;
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        out.extend_from_slice(self.materialize_entry(&mut scratch, id).0);
+        self.with_full(id, |full| out.extend_from_slice(full));
     }
 
     /// Does entry `id`'s full encoding equal `full`? The dedup probe for
@@ -1820,22 +1848,13 @@ impl StateArena {
         if self.decode_floor(id) < self.first_resident_entry() {
             return true;
         }
-        let mut scratch = self.scratch.borrow_mut();
-        self.materialize_entry(&mut scratch, id).0 == full
+        self.with_full(id, |bytes| bytes == full)
     }
 
     /// Append the full encoding of `other`'s entry `slot` to this arena
     /// (stored full) — the shard-merge primitive.
     pub fn push_full_from(&mut self, other: &StateArena, slot: usize) -> usize {
-        if other.is_full_entry(slot) && other.is_resident(slot) {
-            return self.push_encoded(other.stored(slot));
-        }
-        let mut tmp = std::mem::take(&mut self.scratch.get_mut().cold);
-        tmp.clear();
-        other.append_full_bytes(slot, &mut tmp);
-        let id = self.push_encoded(&tmp);
-        self.scratch.get_mut().cold = tmp;
-        id
+        other.with_full(slot, |full| self.push_encoded(full))
     }
 
     /// Decode state `id` into a fresh value.
@@ -1856,17 +1875,9 @@ impl StateArena {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn decode_into(&self, id: usize, out: &mut SystemState) {
-        if self.is_full_entry(id) && self.is_resident(id) {
-            self.codec
-                .decode_state(self.stored(id), out)
-                .expect("arena holds only codec output");
-            return;
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let bytes = self.materialize_entry(&mut scratch, id).0;
-        self.codec
-            .decode_state(bytes, out)
-            .expect("arena holds only codec output");
+        self.with_full(id, |bytes| {
+            self.codec.decode_state(bytes, out).expect("arena holds only codec output");
+        });
     }
 
     /// Iterate over all states in discovery order, decoding each.
@@ -1941,10 +1952,10 @@ impl StateArena {
     }
 
     /// Release capacity slack in the payload and entry tables, and drop
-    /// decode-side scratch buffers and the fault-in cache — the model
-    /// checker's degradation ladder calls this when the run approaches
-    /// its memory budget (Vec doubling leaves up to ~2× slack, all of
-    /// which [`Self::approx_heap_bytes`] counts).
+    /// the fault-in cache — the model checker's degradation ladder calls
+    /// this when the run approaches its memory budget (Vec doubling
+    /// leaves up to ~2× slack, all of which [`Self::approx_heap_bytes`]
+    /// counts).
     pub fn shrink_to_fit(&mut self) {
         self.bytes.shrink_to_fit();
         self.offsets.shrink_to_fit();
@@ -1952,10 +1963,8 @@ impl StateArena {
         if let Some(spill) = &mut self.spill {
             spill.extents.shrink_to_fit();
         }
-        let scratch = self.scratch.get_mut();
-        let faults = scratch.faults;
-        *scratch = ArenaScratch::default();
-        scratch.faults = faults;
+        let cache = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+        cache.slots = Vec::new();
     }
 
     /// Drop all states and release the backing allocations (the ladder's
@@ -1973,7 +1982,7 @@ impl StateArena {
             spill.spilled_bytes = 0;
             spill.spilled_entries = 0;
         }
-        *self.scratch.get_mut() = ArenaScratch::default();
+        self.cache = Mutex::default();
     }
 }
 
@@ -2363,66 +2372,6 @@ mod tests {
         );
     }
 
-    /// BFS-walk a small N-device grid, returning `(parent_index,
-    /// full_encoding)` pairs in discovery order (entry 0, the initial
-    /// state, has parent `usize::MAX`), deduped by encoding — the
-    /// parent/child structure the delta store compresses.
-    fn walk_encoded(n: usize, limit: usize) -> (StateCodec, Vec<(usize, Vec<u8>)>) {
-        let mut progs = vec![programs::stores(0, 2), programs::loads(2)];
-        progs.truncate(n);
-        let initial = SystemState::initial_n(n, progs);
-        let rules = Ruleset::with_topology(ProtocolConfig::full(), initial.topology());
-        let codec = StateCodec::new(initial.topology());
-        let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<(usize, Vec<u8>)> = Vec::new();
-        let enc = codec.encode(&initial);
-        seen.insert(enc.clone());
-        out.push((usize::MAX, enc));
-        let mut cursor = 0;
-        while cursor < out.len() && out.len() < limit {
-            let parent = codec.decode(&out[cursor].1).unwrap();
-            for (_, succ) in rules.successors(&parent) {
-                if out.len() >= limit {
-                    break;
-                }
-                let enc = codec.encode(&succ);
-                if seen.insert(enc.clone()) {
-                    out.push((cursor, enc));
-                }
-            }
-            cursor += 1;
-        }
-        (codec, out)
-    }
-
-    #[test]
-    fn delta_roundtrip_is_byte_exact() {
-        for n in 2..=4 {
-            let (codec, states) = walk_encoded(n, 400);
-            let mut delta = Vec::new();
-            let mut back = Vec::new();
-            let mut smaller = 0usize;
-            for (parent, child) in &states[1..] {
-                let parent_bytes = &states[*parent].1;
-                delta.clear();
-                codec.encode_delta(parent_bytes, child, &mut delta).unwrap();
-                back.clear();
-                codec.decode_delta(parent_bytes, &delta, &mut back).unwrap();
-                assert_eq!(&back, child, "delta round-trip must be byte-exact (N={n})");
-                if delta.len() < child.len() {
-                    smaller += 1;
-                }
-            }
-            // The premise of the whole optimisation: a BFS child usually
-            // touches a minority of segments.
-            assert!(
-                smaller * 2 > (states.len() - 1),
-                "N={n}: only {smaller}/{} deltas beat the full encoding",
-                states.len() - 1
-            );
-        }
-    }
-
     #[test]
     fn delta_against_self_is_tiny() {
         let codec = codec2();
@@ -2452,192 +2401,5 @@ mod tests {
         // A bitmap naming a segment past the device count.
         out.clear();
         assert!(codec.decode_delta(&p, &[0x40, 0], &mut out).is_err(), "bad bitmap");
-    }
-
-    /// A delta-armed arena fed BFS parents stays byte-identical to a
-    /// plain arena on every read path.
-    #[test]
-    fn arena_delta_chains_materialize_exactly() {
-        for keyframe in [1u32, 2, 3, 16] {
-            let (codec, states) = walk_encoded(3, 300);
-            let mut plain = StateArena::new(codec);
-            let mut compressed = StateArena::new(codec);
-            compressed.enable_delta(keyframe);
-            for (parent, enc) in &states {
-                plain.push_encoded(enc);
-                let base = (*parent != usize::MAX).then_some(*parent as u32);
-                compressed.push_encoded_delta(enc, base);
-            }
-            assert_eq!(plain.len(), compressed.len());
-            assert_eq!(plain.full_payload_bytes(), compressed.full_payload_bytes());
-            let mut buf = Vec::new();
-            for id in 0..plain.len() {
-                assert_eq!(compressed.decode(id), plain.decode(id), "K={keyframe} id={id}");
-                buf.clear();
-                compressed.append_full_bytes(id, &mut buf);
-                assert_eq!(buf, plain.bytes_of(id), "K={keyframe} id={id}");
-                assert!(compressed.entry_matches(id, plain.bytes_of(id)));
-                assert!(!compressed.entry_matches(id, &buf[..buf.len() - 1]));
-            }
-            if keyframe > 1 {
-                assert!(compressed.delta_entries() > 0, "K={keyframe}: no deltas stored");
-                assert!(
-                    compressed.byte_len() < plain.byte_len(),
-                    "K={keyframe}: delta store not smaller ({} vs {})",
-                    compressed.byte_len(),
-                    plain.byte_len()
-                );
-            } else {
-                // K=1 means every entry is a keyframe.
-                assert_eq!(compressed.delta_entries(), 0);
-            }
-        }
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// The satellite property: for N in 2..=4 and a random keyframe
-        /// interval, every materialized entry of a delta arena equals
-        /// the full encoding that was pushed, byte for byte.
-        #[test]
-        fn prop_delta_arena_is_byte_exact(
-            n in 2usize..5,
-            keyframe in 1u32..9,
-            limit in 32usize..160,
-        ) {
-            let (codec, states) = walk_encoded(n, limit);
-            let mut arena = StateArena::new(codec);
-            arena.enable_delta(keyframe);
-            for (parent, enc) in &states {
-                let base = (*parent != usize::MAX).then_some(*parent as u32);
-                arena.push_encoded_delta(enc, base);
-            }
-            let mut buf = Vec::new();
-            for (id, (_, enc)) in states.iter().enumerate() {
-                buf.clear();
-                arena.append_full_bytes(id, &mut buf);
-                prop_assert_eq!(&buf, enc);
-            }
-        }
-    }
-
-    fn scratch_spill_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("cxl-codec-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn arena_spill_faults_back_in() {
-        let (codec, states) = walk_encoded(3, 300);
-        let mut plain = StateArena::new(codec);
-        let mut spilling = StateArena::new(codec);
-        let dir = scratch_spill_dir("plainspill");
-        spilling.enable_spill(&dir, "shard0").unwrap();
-        for (_, enc) in &states {
-            plain.push_encoded(enc);
-            spilling.push_encoded(enc);
-        }
-        let resident_before = spilling.resident_payload_bytes();
-        // Seal two extents: a cold prefix, then everything but the tail.
-        let freed = spilling.spill_cold(states.len() / 3).unwrap();
-        assert!(freed > 0);
-        let freed2 = spilling.spill_cold(states.len() - 8).unwrap();
-        assert!(freed2 > 0);
-        assert_eq!(spilling.spilled_extents(), 2);
-        assert_eq!(
-            resident_before - freed - freed2,
-            spilling.resident_payload_bytes(),
-            "freed bytes must leave RAM"
-        );
-        assert_eq!(spilling.byte_len(), plain.byte_len(), "logical size unchanged");
-        let mut buf = Vec::new();
-        for id in 0..plain.len() {
-            assert_eq!(spilling.decode(id), plain.decode(id), "id={id}");
-            buf.clear();
-            spilling.append_full_bytes(id, &mut buf);
-            assert_eq!(buf, plain.bytes_of(id), "id={id}");
-            assert!(spilling.entry_matches(id, plain.bytes_of(id)));
-        }
-        assert!(spilling.faulted_extents() >= 1, "cold reads must fault extents in");
-        // Replays are deterministic: a second full sweep agrees.
-        for id in 0..plain.len() {
-            assert_eq!(spilling.decode(id), plain.decode(id), "replay id={id}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn spilled_delta_arena_equals_plain() {
-        let (codec, states) = walk_encoded(3, 300);
-        let mut plain = StateArena::new(codec);
-        let mut arena = StateArena::new(codec);
-        arena.enable_delta(4);
-        let dir = scratch_spill_dir("deltaspill");
-        arena.enable_spill(&dir, "shard0").unwrap();
-        for (i, (parent, enc)) in states.iter().enumerate() {
-            plain.push_encoded(enc);
-            let base = (*parent != usize::MAX).then_some(*parent as u32);
-            arena.push_encoded_delta(enc, base);
-            // Spill in mid-run waves, as the level barrier does.
-            if i == 100 || i == 200 {
-                arena.spill_cold(i - 20).unwrap();
-            }
-        }
-        assert!(arena.spilled_extents() >= 2);
-        assert!(arena.delta_entries() > 0);
-        let mut buf = Vec::new();
-        for id in 0..plain.len() {
-            buf.clear();
-            arena.append_full_bytes(id, &mut buf);
-            assert_eq!(buf, plain.bytes_of(id), "id={id}");
-        }
-        // Cross-extent delta chains survive a shrink (which drops the
-        // fault-in cache).
-        arena.shrink_to_fit();
-        assert_eq!(arena.decode(150), plain.decode(150));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_extents_are_detected() {
-        let (codec, states) = walk_encoded(2, 60);
-        let mut arena = StateArena::new(codec);
-        let dir = scratch_spill_dir("corrupt");
-        arena.enable_spill(&dir, "shard0").unwrap();
-        for (_, enc) in &states {
-            arena.push_encoded(enc);
-        }
-        arena.spill_cold(states.len() / 2).unwrap();
-        let extent_path = dir.join("shard0-000000.cxlspill");
-        let mut raw = std::fs::read(&extent_path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0xff;
-        std::fs::write(&extent_path, &raw).unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| arena.decode(0)));
-        assert!(result.is_err(), "corrupted extent must not decode silently");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn push_full_from_materializes_across_arenas() {
-        let (codec, states) = walk_encoded(2, 80);
-        let mut src = StateArena::new(codec);
-        src.enable_delta(4);
-        for (parent, enc) in &states {
-            let base = (*parent != usize::MAX).then_some(*parent as u32);
-            src.push_encoded_delta(enc, base);
-        }
-        let mut dst = StateArena::new(codec);
-        for id in 0..src.len() {
-            dst.push_full_from(&src, id);
-        }
-        for (id, (_, enc)) in states.iter().enumerate() {
-            assert_eq!(dst.bytes_of(id), &enc[..], "id={id}");
-        }
     }
 }

@@ -245,9 +245,9 @@ pub const DEFAULT_FRONTIER_RING: usize = 2048;
 
 /// Minimum frontier width before the search expands (or property-checks)
 /// a level on scoped workers. Every pooled phase spawns and joins its
-/// workers — 55–85 µs for two threads on a 2-vCPU VM — and ships each
-/// state's bytes out and its results back, so levels below this run
-/// inline on the driver thread (the fused arm of `ModelChecker::search`).
+/// workers — 55–85 µs for two threads on a 2-vCPU VM — and hands its
+/// results back, so levels below this run inline on the driver thread
+/// (the fused arm of `ModelChecker::search`).
 const PAR_EXPAND_MIN: usize = 256;
 
 impl Default for CheckOptions {
@@ -359,36 +359,6 @@ struct ExpandedChunk {
     /// leave this empty.
     #[allow(clippy::vec_box)]
     decoded: Vec<Box<SystemState>>,
-}
-
-/// Packed shipment of arena states to a worker: ids plus their
-/// concatenated bytes (one buffer per job instead of one `Vec<u8>` per
-/// state). Workers never read the store itself, whose arenas are not
-/// `Sync`.
-struct StateBatch {
-    ids: Vec<usize>,
-    ends: Vec<usize>,
-    buf: Vec<u8>,
-}
-
-impl StateBatch {
-    fn of(ids: &[usize], store: &dyn StateStore) -> Self {
-        let mut ends = Vec::with_capacity(ids.len());
-        let mut buf = Vec::new();
-        for &id in ids {
-            store.append_full_bytes(id, &mut buf);
-            ends.push(buf.len());
-        }
-        StateBatch { ids: ids.to_vec(), ends, buf }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        self.ids.iter().zip(&self.ends).scan(0usize, |start, (&id, &end)| {
-            let bytes = &self.buf[*start..end];
-            *start = end;
-            Some((id, bytes))
-        })
-    }
 }
 
 impl ExpandedChunk {
@@ -924,9 +894,9 @@ impl ModelChecker {
             s.new_indices = Vec::new();
             let mut queue_depths: Vec<u32> = Vec::new();
             if s.frontier.len() >= expand_min {
-                // Workers decode from shipped bytes and steal no decoded
-                // successors, so a pooled level neither reads nor fills
-                // the ring.
+                // Workers decode their parents from the store and steal
+                // no decoded successors, so a pooled level neither reads
+                // nor fills the ring.
                 let expand_t = s.clock.tick();
                 let mut expanded = self.expand_pooled(&s.frontier, &s.store);
                 s.clock.tock(Phase::Expand, expand_t);
@@ -1323,7 +1293,7 @@ impl ModelChecker {
         let (count, dir) = (shards.len(), &*dir);
         let per_job = count.div_ceil(self.opts.threads);
         let jobs = shards.chunks_mut(per_job).enumerate();
-        let per_job_shards = run(self.opts.threads, jobs, || {
+        let per_job_shards = run_phase(self.opts.threads, jobs, || {
             |(j, own): (usize, &mut [ShardState])| {
                 dedup_owned(j * per_job, own, count, dir, expanded)
             }
@@ -1369,12 +1339,11 @@ impl ModelChecker {
     }
 
     /// Property-check stored states `ids` — the one check path, for the
-    /// initial state and every level, fused or pooled. The states ship to
-    /// [`run`] in batches of packed bytes, decoded into one scratch state
-    /// per worker; at one worker each batch is built only as it is
-    /// checked, so a level never holds more than one. Violations are
-    /// recorded in discovery order (state, then property) until the cap;
-    /// returns `true` when the cap stops the search.
+    /// initial state and every level, fused or pooled. [`run_phase`]
+    /// hands the ids out in chunks, and each worker decodes them straight
+    /// from the store into one scratch state. Violations are recorded in
+    /// discovery order (state, then property) until the cap; returns
+    /// `true` when the cap stops the search.
     fn check_stored(
         &self,
         ids: &[usize],
@@ -1384,18 +1353,12 @@ impl ModelChecker {
         props: &[&dyn Property],
         threads: usize,
     ) -> bool {
-        let codec = store.codec;
-        let jobs = ids
-            .chunks(chunk_size(ids.len()))
-            .map(|ids| StateBatch::of(ids, store));
-        let found = run(threads, jobs, || {
-            let mut cur = codec.blank();
-            move |batch: StateBatch| {
+        let found = run_phase(threads, ids.chunks(chunk_size(ids.len())), || {
+            let mut cur = store.codec.blank();
+            move |ids: &[usize]| {
                 let mut out = Vec::new();
-                for (id, encoded) in batch.iter() {
-                    codec
-                        .decode_into(encoded, &mut cur)
-                        .expect("driver ships codec output");
+                for &id in ids {
+                    store.decode_into(id, &mut cur);
                     for (k, p) in props.iter().enumerate() {
                         if let PropertyOutcome::Violated(detail) = p.check(&cur) {
                             out.push((id, k, detail));
@@ -1418,19 +1381,15 @@ impl ModelChecker {
 
 impl ModelChecker {
     /// Expand a frontier on scoped workers, returning one successor chunk
-    /// per job in frontier order. Each job ships its states' packed bytes
-    /// out of the store in one batched buffer — a few dozen bytes per
-    /// state, zero per-state allocations — and each worker keeps one
-    /// decoded parent, one firing scratch, and two encoding buffers for
-    /// the phase.
+    /// per job in frontier order. Each worker decodes its parents straight
+    /// from the store and keeps one decoded parent, one firing scratch,
+    /// and two encoding buffers for the phase.
     fn expand_pooled(&self, frontier: &[usize], store: &ShardedStore) -> Vec<ExpandedChunk> {
         let (rules, codec, prune) = (&self.rules, store.codec, self.opts.prune.as_ref());
         let reducer = self.opts.reduction.as_deref();
         let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
-        let jobs = frontier
-            .chunks(chunk_size(frontier.len()))
-            .map(|ids| StateBatch::of(ids, store));
-        run(self.opts.threads, jobs, || {
+        let jobs = frontier.chunks(chunk_size(frontier.len()));
+        run_phase(self.opts.threads, jobs, || {
             let mut cur = Box::new(codec.blank());
             let mut fire_scratch = codec.blank();
             let mut enc_scratch: Vec<u8> = Vec::new();
@@ -1439,12 +1398,12 @@ impl ModelChecker {
             // ring only serves inline levels, and shipping decoded states
             // back would cost more than the decode it saves.
             let mut no_spare: Vec<Box<SystemState>> = Vec::new();
-            move |batch: StateBatch| {
+            move |ids: &[usize]| {
                 let mut out = ExpandedChunk {
-                    parents: Vec::with_capacity(batch.ids.len()),
+                    parents: Vec::with_capacity(ids.len()),
                     ..ExpandedChunk::default()
                 };
-                for (id, encoded) in batch.iter() {
+                for &id in ids {
                     expand_one(
                         rules,
                         codec,
@@ -1452,11 +1411,7 @@ impl ModelChecker {
                         reducer,
                         peer_variants,
                         id,
-                        |cur| {
-                            codec
-                                .decode_into(encoded, cur)
-                                .expect("driver ships codec output");
-                        },
+                        |cur| store.decode_into(id, cur),
                         &mut cur,
                         &mut fire_scratch,
                         &mut enc_scratch,
@@ -1479,28 +1434,29 @@ fn chunk_size(len: usize) -> usize {
 }
 
 /// Run one phase: `jobs` on up to `threads` workers, with the results
-/// returned in job order. Each worker builds its job body with `worker`
+/// returned in job order. This is the phase runner of the checker's
+/// pooled expansion, dedup and property check, and of `cxl-sketch`'s
+/// obligation matrix. Each worker builds its job body with `worker`
 /// (which owns that worker's scratch for the phase). One worker is the
-/// caller itself: no thread is spawned, and each job is built only as
-/// it is taken. More workers are scoped threads that exist only for
-/// this call; they take the jobs, built up front, one at a time from one
-/// in-order hand-out until it runs dry, and a panic on any of them
-/// resumes on the caller once every worker has stopped, so a pooled run
-/// fails as a one-thread run does.
-fn run<J: Send, R: Send, W: FnMut(J) -> R>(
+/// caller itself, and no thread is spawned. More workers are scoped
+/// threads that exist only for this call; they take jobs one at a time
+/// from one in-order hand-out of the iterator until it runs dry, and a
+/// panic on any of them resumes on the caller once every worker has
+/// stopped, so a pooled phase fails as a one-thread phase does.
+pub fn run_phase<J, R: Send, W: FnMut(J) -> R>(
     threads: usize,
-    jobs: impl ExactSizeIterator<Item = J>,
+    jobs: impl ExactSizeIterator<Item = J> + Send,
     worker: impl Fn() -> W + Sync,
 ) -> Vec<R> {
     let workers = threads.min(jobs.len());
     if workers <= 1 {
         return jobs.map(worker()).collect();
     }
-    // Jobs may borrow the store, which is not `Sync`: build them here.
-    let handout = Mutex::new(jobs.collect::<Vec<J>>().into_iter().enumerate());
+    let handout = Mutex::new(jobs.enumerate());
     // The guard drops before the job runs, so workers only serialize on
-    // taking a job.
-    let next = || handout.lock().expect("job hand-out poisoned").next();
+    // taking a job. An iterator that panicked ends the hand-out, and its
+    // panic resumes below.
+    let next = || handout.lock().ok()?.next();
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -1558,8 +1514,8 @@ struct Search<'r> {
     /// expansion (nothing else reads it).
     ring: Ring,
     /// The reused decoded form of an over-cap tail state being
-    /// property-checked (stored states are checked from shipped bytes,
-    /// see [`ModelChecker::check_stored`]).
+    /// property-checked (stored states are checked by
+    /// [`ModelChecker::check_stored`]).
     scratch: SystemState,
     flight: Flight<'r>,
     clock: PhaseClock,
@@ -1823,8 +1779,8 @@ impl Ring {
 
 /// Read access to stored states by global (discovery-order) id — the
 /// search's [`ShardedStore`] and a plain [`StateArena`] — so trace
-/// rebuilding, quarantines, the batches shipped to workers, and the
-/// checkpoint encoder read either.
+/// rebuilding, quarantines, and the checkpoint encoder read either. Both
+/// are `Sync`: phase workers decode from the store they share.
 pub(crate) trait StateStore {
     /// Number of stored states.
     fn len(&self) -> usize;

@@ -24,8 +24,10 @@
 //!   degradation ladder reads depends on both). One shard and one
 //!   thread is the sequential search; with more threads a wide level's
 //!   expansion, dedup and property check each run on scoped workers
-//!   that exist only for that phase, a dedup job borrowing its shard as
-//!   `&mut` and reading the level's expanded successors in place;
+//!   that exist only for that phase ([`run_phase`]), expansion and
+//!   check jobs decoding straight from the shared store, and a dedup
+//!   job borrowing its shard as `&mut` and reading the level's expanded
+//!   successors in place;
 //! - a decoded-frontier ring ([`CheckOptions::frontier_ring`]) that
 //!   keeps the current BFS level decoded, trading bounded memory for
 //!   skipped per-expansion decodes;
@@ -80,8 +82,8 @@ mod property;
 mod report;
 
 pub use checker::{
-    CheckOptions, Exploration, ModelChecker, Prune, DEFAULT_FRONTIER_RING, DEFAULT_MEM_BUDGET,
-    DEFAULT_SPILL_BUDGET, NOT_EXPANDED,
+    run_phase, CheckOptions, Exploration, ModelChecker, Prune, DEFAULT_FRONTIER_RING,
+    DEFAULT_MEM_BUDGET, DEFAULT_SPILL_BUDGET, NOT_EXPANDED,
 };
 pub use checkpoint::{
     checkpoint_path, options_fingerprint, Checkpoint, CheckpointError, CheckpointPolicy,

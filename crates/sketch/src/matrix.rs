@@ -10,13 +10,15 @@
 //! The paper's matrix is 796 × 68 = 53,332 Isabelle lemmas; here each cell
 //! is *checked* rather than *proved*: over a [`Universe`] `U`, cell (i, j)
 //! is discharged iff for every `Σ ∈ U` with `inv(Σ)` and `rule_j`
-//! enabled, the successor satisfies `invᵢ`. Cells are discharged
-//! concurrently across worker threads — the super_sketch workflow of §7.2.
+//! enabled, the successor satisfies `invᵢ`. Columns are discharged
+//! concurrently on the model checker's phase runner
+//! ([`cxl_mc::run_phase`]) — the super_sketch workflow of §7.2.
 
 use crate::universe::Universe;
 use cxl_core::{Invariant, RuleId, Ruleset, SystemState};
+use cxl_mc::run_phase;
 use serde::Serialize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The verdict for one matrix cell.
@@ -183,74 +185,47 @@ impl ObligationMatrix {
         let n = self.invariant.len();
 
         struct ColumnOutcome {
-            rule_pos: usize,
             enabled: usize,
             holds: Vec<bool>,
             counterexamples: Vec<Option<(SystemState, SystemState)>>,
             elapsed: Duration,
         }
 
-        let work = Mutex::new((0..rule_ids.len()).collect::<Vec<_>>());
-
-        let column_worker = |rule_pos: usize| -> ColumnOutcome {
-            let col_start = Instant::now();
-            let rule = rule_ids[rule_pos];
-            let mut holds = vec![true; n];
-            let mut counterexamples: Vec<Option<(SystemState, SystemState)>> = vec![None; n];
-            let mut enabled = 0usize;
-            // One scratch successor serves the whole column: most
-            // (rule, state) pairs fail the guard and cost no allocation
-            // at all; enabled pairs fire into the reused scratch.
+        // One column per job, on the model checker's phase runner, which
+        // returns the columns in rule order.
+        let hypothesis = &hypothesis;
+        let outcomes = run_phase(threads, rule_ids.iter(), || {
+            // One scratch successor serves each worker: most (rule, state)
+            // pairs fail the guard and cost no allocation at all; enabled
+            // pairs fire into the reused scratch.
             let mut succ = SystemState::initial_n(self.rules.device_count(), Vec::new());
-            for st in &hypothesis {
-                if self.rules.try_fire_into(rule, st, &mut succ) {
+            move |&rule: &RuleId| {
+                let col_start = Instant::now();
+                let mut holds = vec![true; n];
+                let mut counterexamples: Vec<Option<(SystemState, SystemState)>> = vec![None; n];
+                let mut enabled = 0usize;
+                for st in hypothesis {
+                    if !self.rules.try_fire_into(rule, st, &mut succ) {
+                        continue;
+                    }
                     enabled += 1;
                     for (i, conjunct) in self.invariant.iter().enumerate() {
-                        if (holds[i] || counterexamples[i].is_none())
-                            && !conjunct.holds(&succ) {
-                                holds[i] = false;
-                                if counterexamples[i].is_none() {
-                                    counterexamples[i] =
-                                        Some(((**st).clone(), succ.clone()));
-                                }
-                            }
-                    }
-                }
-            }
-            ColumnOutcome { rule_pos, enabled, holds, counterexamples, elapsed: col_start.elapsed() }
-        };
-
-        let threads = threads.max(1);
-        let mut outcomes: Vec<ColumnOutcome> = if threads == 1 {
-            (0..rule_ids.len()).map(column_worker).collect()
-        } else {
-            // Scoped std threads pulling columns from a shared work list
-            // into per-worker output buffers, merged afterwards.
-            let collected = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let next = work.lock().expect("work list poisoned").pop();
-                            match next {
-                                Some(rule_pos) => local.push(column_worker(rule_pos)),
-                                None => break,
+                        if (holds[i] || counterexamples[i].is_none()) && !conjunct.holds(&succ) {
+                            holds[i] = false;
+                            if counterexamples[i].is_none() {
+                                counterexamples[i] = Some(((**st).clone(), succ.clone()));
                             }
                         }
-                        collected.lock().expect("outcomes poisoned").append(&mut local);
-                    });
+                    }
                 }
-            });
-            collected.into_inner().expect("outcomes poisoned")
-        };
-        outcomes.sort_by_key(|o| o.rule_pos);
+                ColumnOutcome { enabled, holds, counterexamples, elapsed: col_start.elapsed() }
+            }
+        });
 
         let mut cells = Vec::with_capacity(n * rule_ids.len());
         let mut counterexamples = Vec::new();
         let mut per_rule = Vec::with_capacity(rule_ids.len());
-        for out in &outcomes {
-            let rule = rule_ids[out.rule_pos];
+        for (&rule, out) in rule_ids.iter().zip(&outcomes) {
             let mut failed = 0;
             for i in 0..n {
                 let conjunct = self.invariant.get(i).expect("dense ids");

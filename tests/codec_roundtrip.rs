@@ -14,7 +14,7 @@
 //!    checker would count one state twice).
 
 use cxl_repro::core::codec::StateCodec;
-use cxl_repro::core::instr::Instruction;
+use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{ProtocolConfig, Ruleset, StateArena, SystemState};
 use cxl_repro::mc::{CheckOptions, ModelChecker};
 use proptest::prelude::*;
@@ -504,4 +504,294 @@ fn codec_error_messages_are_pinned() {
             .to_string(),
         "state decode error: arena entry 0: state decode error: bad DState tag 31"
     );
+}
+
+/// BFS-walk a small N-device grid, returning `(parent_index,
+/// full_encoding)` pairs in discovery order (entry 0, the initial
+/// state, has parent `usize::MAX`), deduped by encoding — the
+/// parent/child structure the delta store compresses.
+fn walk_encoded(n: usize, limit: usize) -> (StateCodec, Vec<(usize, Vec<u8>)>) {
+    let mut progs = vec![programs::stores(0, 2), programs::loads(2)];
+    progs.truncate(n);
+    let initial = SystemState::initial_n(n, progs);
+    let rules = Ruleset::with_topology(ProtocolConfig::full(), initial.topology());
+    let codec = StateCodec::new(initial.topology());
+    let mut seen = std::collections::HashSet::new();
+    let mut out: Vec<(usize, Vec<u8>)> = Vec::new();
+    let enc = codec.encode(&initial);
+    seen.insert(enc.clone());
+    out.push((usize::MAX, enc));
+    let mut cursor = 0;
+    while cursor < out.len() && out.len() < limit {
+        let parent = codec.decode(&out[cursor].1).unwrap();
+        for (_, succ) in rules.successors(&parent) {
+            if out.len() >= limit {
+                break;
+            }
+            let enc = codec.encode(&succ);
+            if seen.insert(enc.clone()) {
+                out.push((cursor, enc));
+            }
+        }
+        cursor += 1;
+    }
+    (codec, out)
+}
+
+#[test]
+fn delta_roundtrip_is_byte_exact() {
+    for n in 2..=4 {
+        let (codec, states) = walk_encoded(n, 400);
+        let mut delta = Vec::new();
+        let mut back = Vec::new();
+        let mut smaller = 0usize;
+        for (parent, child) in &states[1..] {
+            let parent_bytes = &states[*parent].1;
+            delta.clear();
+            codec.encode_delta(parent_bytes, child, &mut delta).unwrap();
+            back.clear();
+            codec.decode_delta(parent_bytes, &delta, &mut back).unwrap();
+            assert_eq!(&back, child, "delta round-trip must be byte-exact (N={n})");
+            if delta.len() < child.len() {
+                smaller += 1;
+            }
+        }
+        // The premise of the whole optimisation: a BFS child usually
+        // touches a minority of segments.
+        assert!(
+            smaller * 2 > (states.len() - 1),
+            "N={n}: only {smaller}/{} deltas beat the full encoding",
+            states.len() - 1
+        );
+    }
+}
+
+/// A delta-armed arena fed BFS parents stays byte-identical to a
+/// plain arena on every read path.
+#[test]
+fn arena_delta_chains_materialize_exactly() {
+    for keyframe in [1u32, 2, 3, 16] {
+        let (codec, states) = walk_encoded(3, 300);
+        let mut plain = StateArena::new(codec);
+        let mut compressed = StateArena::new(codec);
+        compressed.enable_delta(keyframe);
+        for (parent, enc) in &states {
+            plain.push_encoded(enc);
+            let base = (*parent != usize::MAX).then_some(*parent as u32);
+            compressed.push_encoded_delta(enc, base);
+        }
+        assert_eq!(plain.len(), compressed.len());
+        assert_eq!(plain.full_payload_bytes(), compressed.full_payload_bytes());
+        let mut buf = Vec::new();
+        for id in 0..plain.len() {
+            assert_eq!(compressed.decode(id), plain.decode(id), "K={keyframe} id={id}");
+            buf.clear();
+            compressed.append_full_bytes(id, &mut buf);
+            assert_eq!(buf, plain.bytes_of(id), "K={keyframe} id={id}");
+            assert!(compressed.entry_matches(id, plain.bytes_of(id)));
+            assert!(!compressed.entry_matches(id, &buf[..buf.len() - 1]));
+        }
+        if keyframe > 1 {
+            assert!(compressed.delta_entries() > 0, "K={keyframe}: no deltas stored");
+            assert!(
+                compressed.byte_len() < plain.byte_len(),
+                "K={keyframe}: delta store not smaller ({} vs {})",
+                compressed.byte_len(),
+                plain.byte_len()
+            );
+        } else {
+            // K=1 means every entry is a keyframe.
+            assert_eq!(compressed.delta_entries(), 0);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The satellite property: for N in 2..=4 and a random keyframe
+    /// interval, every materialized entry of a delta arena equals
+    /// the full encoding that was pushed, byte for byte.
+    #[test]
+    fn prop_delta_arena_is_byte_exact(
+        n in 2usize..5,
+        keyframe in 1u32..9,
+        limit in 32usize..160,
+    ) {
+        let (codec, states) = walk_encoded(n, limit);
+        let mut arena = StateArena::new(codec);
+        arena.enable_delta(keyframe);
+        for (parent, enc) in &states {
+            let base = (*parent != usize::MAX).then_some(*parent as u32);
+            arena.push_encoded_delta(enc, base);
+        }
+        let mut buf = Vec::new();
+        for (id, (_, enc)) in states.iter().enumerate() {
+            buf.clear();
+            arena.append_full_bytes(id, &mut buf);
+            prop_assert_eq!(&buf, enc);
+        }
+    }
+}
+
+fn scratch_spill_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("cxl-codec-test-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn arena_spill_faults_back_in() {
+    let (codec, states) = walk_encoded(3, 300);
+    let mut plain = StateArena::new(codec);
+    let mut spilling = StateArena::new(codec);
+    let dir = scratch_spill_dir("plainspill");
+    spilling.enable_spill(&dir, "shard0").unwrap();
+    for (_, enc) in &states {
+        plain.push_encoded(enc);
+        spilling.push_encoded(enc);
+    }
+    let resident_before = spilling.resident_payload_bytes();
+    // Seal two extents: a cold prefix, then everything but the tail.
+    let freed = spilling.spill_cold(states.len() / 3).unwrap();
+    assert!(freed > 0);
+    let freed2 = spilling.spill_cold(states.len() - 8).unwrap();
+    assert!(freed2 > 0);
+    assert_eq!(spilling.spilled_extents(), 2);
+    assert_eq!(
+        resident_before - freed - freed2,
+        spilling.resident_payload_bytes(),
+        "freed bytes must leave RAM"
+    );
+    assert_eq!(spilling.byte_len(), plain.byte_len(), "logical size unchanged");
+    let mut buf = Vec::new();
+    for id in 0..plain.len() {
+        assert_eq!(spilling.decode(id), plain.decode(id), "id={id}");
+        buf.clear();
+        spilling.append_full_bytes(id, &mut buf);
+        assert_eq!(buf, plain.bytes_of(id), "id={id}");
+        assert!(spilling.entry_matches(id, plain.bytes_of(id)));
+    }
+    assert!(spilling.faulted_extents() >= 1, "cold reads must fault extents in");
+    // Replays are deterministic: a second full sweep agrees.
+    for id in 0..plain.len() {
+        assert_eq!(spilling.decode(id), plain.decode(id), "replay id={id}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn spilled_delta_arena_equals_plain() {
+    let (codec, states) = walk_encoded(3, 300);
+    let mut plain = StateArena::new(codec);
+    let mut arena = StateArena::new(codec);
+    arena.enable_delta(4);
+    let dir = scratch_spill_dir("deltaspill");
+    arena.enable_spill(&dir, "shard0").unwrap();
+    for (i, (parent, enc)) in states.iter().enumerate() {
+        plain.push_encoded(enc);
+        let base = (*parent != usize::MAX).then_some(*parent as u32);
+        arena.push_encoded_delta(enc, base);
+        // Spill in mid-run waves, as the level barrier does.
+        if i == 100 || i == 200 {
+            arena.spill_cold(i - 20).unwrap();
+        }
+    }
+    assert!(arena.spilled_extents() >= 2);
+    assert!(arena.delta_entries() > 0);
+    let mut buf = Vec::new();
+    for id in 0..plain.len() {
+        buf.clear();
+        arena.append_full_bytes(id, &mut buf);
+        assert_eq!(buf, plain.bytes_of(id), "id={id}");
+    }
+    // Cross-extent delta chains survive a shrink (which drops the
+    // fault-in cache).
+    arena.shrink_to_fit();
+    assert_eq!(arena.decode(150), plain.decode(150));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn corrupt_extents_are_detected() {
+    let (codec, states) = walk_encoded(2, 60);
+    let mut arena = StateArena::new(codec);
+    let dir = scratch_spill_dir("corrupt");
+    arena.enable_spill(&dir, "shard0").unwrap();
+    for (_, enc) in &states {
+        arena.push_encoded(enc);
+    }
+    arena.spill_cold(states.len() / 2).unwrap();
+    let extent_path = dir.join("shard0-000000.cxlspill");
+    let mut raw = std::fs::read(&extent_path).unwrap();
+    let mid = raw.len() / 2;
+    raw[mid] ^= 0xff;
+    std::fs::write(&extent_path, &raw).unwrap();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| arena.decode(0)));
+    assert!(result.is_err(), "corrupted extent must not decode silently");
+    // The panic poisoned the fault-in cache's lock mid-read, which the
+    // arena ignores: a resident entry still decodes, the fault count
+    // still answers, and the corrupt extent still refuses.
+    let last = states.len() - 1;
+    assert_eq!(arena.decode(last), codec.decode(&states[last].1).unwrap());
+    assert_eq!(arena.faulted_extents(), 0);
+    let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| arena.decode(0)));
+    assert!(again.is_err(), "a corrupt extent must refuse every read");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn push_full_from_materializes_across_arenas() {
+    let (codec, states) = walk_encoded(2, 80);
+    let mut src = StateArena::new(codec);
+    src.enable_delta(4);
+    for (parent, enc) in &states {
+        let base = (*parent != usize::MAX).then_some(*parent as u32);
+        src.push_encoded_delta(enc, base);
+    }
+    let mut dst = StateArena::new(codec);
+    for id in 0..src.len() {
+        dst.push_full_from(&src, id);
+    }
+    for (id, (_, enc)) in states.iter().enumerate() {
+        assert_eq!(dst.bytes_of(id), &enc[..], "id={id}");
+    }
+}
+
+/// The checker's phase workers decode from one shared store. Four threads
+/// reading one delta + spill arena at once, sealed entries included, must
+/// each see exactly the bytes that were pushed.
+#[test]
+fn a_shared_arena_reads_the_same_from_every_thread() {
+    let (codec, universe) = chain_universe(3);
+    let dir = scratch_spill_dir("shared");
+    let mut arena = StateArena::new(codec);
+    arena.enable_delta(4);
+    arena.enable_spill(&dir, "shard0").unwrap();
+    for (id, full) in universe.iter().enumerate() {
+        arena.push_encoded_delta(full, id.checked_sub(1).map(|b| b as u32));
+    }
+    arena.spill_cold(universe.len() / 2).unwrap();
+    assert!(arena.delta_entries() > 0 && arena.spilled_extents() > 0);
+    let (arena, universe) = (&arena, &universe);
+    let start = &std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            scope.spawn(move || {
+                // All four read at once, each a quarter further along, so
+                // sealed and resident reads interleave across the threads.
+                start.wait();
+                let mut buf = Vec::new();
+                for k in 0..universe.len() {
+                    let id = (k + t * universe.len() / 4) % universe.len();
+                    buf.clear();
+                    arena.append_full_bytes(id, &mut buf);
+                    assert_eq!(buf, universe[id], "thread {t} id={id}");
+                }
+            });
+        }
+    });
+    assert!(arena.faulted_extents() > 0, "sealed reads must fault extents in");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -267,11 +267,12 @@ fn sharded_delta_spill_merges_to_the_sequential_arena() {
 #[test]
 fn delta_spill_at_two_threads_matches_one_thread() {
     // At two threads the wide levels run as pooled phases over the
-    // compressed store: expansion ships parents materialized from delta
-    // chains and spilled extents, and each shard owner resolves its
-    // successors' delta bases against the global directory. Deltas and
-    // spills are per shard, so their counts differ from the one-thread
-    // run; every result must not.
+    // compressed store: workers decode parents and fresh states straight
+    // from the shared store, materializing delta chains, and each shard
+    // owner resolves its successors' delta bases against the global
+    // directory. Pooled phases read only states above the spill floor,
+    // so they fault no extent. Deltas and spills are per shard, so their
+    // counts differ from the one-thread run; every result must not.
     let strict = ProtocolConfig::strict();
     let relaxed = ProtocolConfig::relaxed(Relaxation::SnoopPushesGo);
     for (name, cfg) in [("strict", strict), ("snoop-pushes-go", relaxed)] {
@@ -308,6 +309,9 @@ fn delta_spill_at_two_threads_matches_one_thread() {
             assert_same_results(&single, &pooled, &ctx);
             assert!(pooled.report.delta_entries > 0, "{ctx}: delta encoding engaged");
             assert!(pooled.report.spilled_extents > 0, "{ctx}: spilling engaged");
+            if cfg == strict {
+                assert_eq!(pooled.report.faulted_extents, 0, "{ctx}: a pooled phase faulted");
+            }
             let owned = levels
                 .0
                 .lock()
