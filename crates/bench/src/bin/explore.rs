@@ -126,6 +126,7 @@
 //! `--help` does not list, a flag missing its value, or a flag given
 //! twice.
 
+use cxl_bench::cli::{arg_value, check_args};
 use cxl_core::instr::Instruction;
 use cxl_core::{
     DeviceId, Invariant, ProtocolConfig, Relaxation, Ruleset, SystemState, Topology,
@@ -166,10 +167,6 @@ fn parse_relaxation(name: &str) -> Result<Relaxation, String> {
     }
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-}
-
 /// The flags [`USAGE`] lists that take a value, besides `--p1` … `--p8`.
 const VALUED: [&str; 17] = [
     "--devices",
@@ -194,33 +191,22 @@ const VALUED: [&str; 17] = [
 /// The switches [`USAGE`] lists (`--help` is answered before any check).
 const SWITCHES: [&str; 5] = ["--full", "--trace", "--resume", "--firings", "--expect-clean"];
 
-/// Check argv against the flags [`USAGE`] lists. [`arg_value`] looks
-/// flags up by name, so an unknown flag, a stray token, a flag with no
-/// value or a repeated flag would otherwise be silently ignored.
-fn check_args(args: &[String]) -> Result<(), String> {
-    let mut seen: Vec<&str> = Vec::new();
-    let mut rest = args.iter().skip(1).map(String::as_str);
-    while let Some(flag) = rest.next() {
-        let program = flag.strip_prefix("--p").and_then(|i| i.parse::<usize>().ok());
-        let program = program.filter(|i| format!("--p{i}") == flag);
-        if let Some(i) = program.filter(|i| !(1..=Topology::MAX_DEVICES).contains(i)) {
-            let max = Topology::MAX_DEVICES;
-            return Err(format!("--p{i} outside supported device range 1..={max}"));
-        }
-        let valued = program.is_some() || VALUED.contains(&flag);
-        if !valued && !SWITCHES.contains(&flag) {
-            return Err(format!("unknown argument {flag:?} (see --help)"));
-        }
-        if seen.contains(&flag) {
-            return Err(format!("{flag} given twice"));
-        }
-        seen.push(flag);
-        // A value that is itself a flag is a missing value, not a value.
-        if valued && rest.next().is_none_or(|value| value.starts_with("--")) {
-            return Err(format!("{flag} needs a value"));
-        }
+/// `Some(i)` when `flag` is a program flag `--p<i>` (`--p01` is not).
+fn program_flag(flag: &str) -> Option<usize> {
+    let i = flag.strip_prefix("--p")?.parse::<usize>().ok()?;
+    (format!("--p{i}") == flag).then_some(i)
+}
+
+/// Check argv against the flags [`USAGE`] lists, and every program flag
+/// against the supported device range.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    check_args(args, |flag| VALUED.contains(&flag) || program_flag(flag).is_some(), &SWITCHES)?;
+    // Every `--p<i>` left is a flag: `check_args` refuses one as a value.
+    let max = Topology::MAX_DEVICES;
+    match args.iter().filter_map(|a| program_flag(a)).find(|i| !(1..=max).contains(i)) {
+        Some(i) => Err(format!("--p{i} outside supported device range 1..={max}")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Parse `flag`'s value as a count of at least one (threads, shards).
@@ -323,7 +309,7 @@ fn main() {
         return;
     }
     let run = || -> Result<(), Failure> {
-        check_args(&args)?;
+        check_flags(&args)?;
         // One program per device: --p1 … --p8.
         let mut programs: Vec<Vec<Instruction>> = Vec::new();
         let mut highest_prog = 0usize;

@@ -6,13 +6,28 @@
 //! cargo run -p cxl-bench --bin report [--quick] [--json PATH]
 //! ```
 //! `--quick` shrinks the obligation-matrix universe for a fast smoke run.
+//! Any other argument, a `--json` without its path and a flag given twice
+//! are refused with exit 64.
 
+use cxl_bench::cli::{arg_value, check_args};
 use cxl_bench::{
     figure5_artifact, figure6_artifact, litmus_artifact, obligation_artifact,
     relaxation_artifact, scale_artifact, table1_artifact, table2_artifact, table3_artifact,
     Artifact, MatrixOptions,
 };
 use cxl_core::Granularity;
+
+/// `--help` text.
+const USAGE: &str = "\
+report — regenerate every table and figure of the paper's evaluation
+
+USAGE:
+    report [--quick] [--json PATH]
+
+    --quick       shrink the obligation-matrix universe (smoke run)
+    --json PATH   also write every artefact as JSON to PATH
+    --help        this text
+";
 
 fn banner(a: &Artifact) {
     println!("================================================================");
@@ -25,18 +40,21 @@ fn banner(a: &Artifact) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return;
+    }
+    if let Err(e) = check_args(&args, |flag| flag == "--json", &["--quick"]) {
+        eprintln!("error: {e}");
+        std::process::exit(64);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     println!(
         "topology: {} (the paper's fixed pair; run the `explore` bin with --devices N \
          for wider sweeps)",
         cxl_core::Topology::pair()
     );
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
+    let json_path = arg_value(&args, "--json");
     let opts = if quick {
         MatrixOptions {
             granularity: Granularity::Standard,

@@ -7,7 +7,7 @@
 //! `report` binary prints everything, and the Criterion benches in
 //! `benches/` measure the computational kernels behind each artefact.
 //!
-//! Experiment index (see `DESIGN.md` §5 and `EXPERIMENTS.md`):
+//! Experiment index (the `report` binary prints every entry):
 //!
 //! | id | artefact | entry point |
 //! |---|---|---|
@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bench_results;
+pub mod cli;
 
 pub use bench_results::{current_rss_mb, peak_rss_mb, BenchSnapshot, ThroughputRow};
 

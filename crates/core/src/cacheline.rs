@@ -11,8 +11,8 @@
 //! Note: the paper's Figure 3 lists thirteen device transient states, but
 //! the "honest snoop response" invariant conjunct in §6 additionally
 //! mentions `ISDI` (a line that was invalidated by a snoop while awaiting
-//! data). We include `ISDI`, and record this paper-internal inconsistency
-//! in `DESIGN.md`.
+//! data). We include `ISDI`; this note records the paper-internal
+//! inconsistency.
 
 use crate::ids::Val;
 use serde::{Deserialize, Serialize};
@@ -195,7 +195,7 @@ impl HState {
 
     /// Is this one of the three stable states? The modelled host is a
     /// *blocking* directory: it only accepts a new device-to-host request
-    /// while stable (see `DESIGN.md` §3.2).
+    /// while stable.
     #[must_use]
     pub fn is_stable(self) -> bool {
         matches!(self, HState::I | HState::S | HState::M)

@@ -1287,6 +1287,32 @@ pub struct StateArena {
     cache: Mutex<ExtentCache>,
 }
 
+/// Full-encoding reads of one [`StateArena`] that share one lock of its
+/// fault-in cache ([`StateArena::reader`]). While a reader holds the
+/// lock, any other read of a sealed entry of the same arena waits for the
+/// reader to drop; on the reader's own thread it never returns.
+pub struct ArenaReader<'a> {
+    arena: &'a StateArena,
+    cache: Option<MutexGuard<'a, ExtentCache>>,
+}
+
+impl ArenaReader<'_> {
+    /// Run `f` on entry `id`'s full encoding — the bytes
+    /// [`StateArena::append_full_bytes`] appends.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range or a spilled extent is unreadable.
+    pub fn with_full<R>(&mut self, id: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        let arena = self.arena;
+        if arena.is_full_entry(id) && arena.is_resident(id) {
+            return f(arena.stored(id));
+        }
+        SCRATCH.with_borrow_mut(|scratch| {
+            f(arena.materialize_entry(scratch, id, &mut self.cache).0)
+        })
+    }
+}
+
 impl Clone for StateArena {
     fn clone(&self) -> Self {
         StateArena {
@@ -1627,7 +1653,7 @@ impl StateArena {
             let mut delta = std::mem::take(&mut scratch.delta);
             delta.clear();
             let encoded_ok = {
-                let (base_full, layout) = self.materialize_entry(scratch, b);
+                let (base_full, layout) = self.materialize_entry(scratch, b, &mut None);
                 // A walked chain already knows its result's layout; a
                 // resident keyframe is parsed here.
                 layout
@@ -1756,17 +1782,18 @@ impl StateArena {
     /// links by construction), parses the keyframe once, and replays the
     /// deltas forward, carrying the segment bounds from link to link so
     /// each link parses only the segments it introduces; faults in
-    /// spilled stored bytes along the way.
-    fn materialize_entry<'a>(
+    /// spilled stored bytes along the way, through the fault-in cache
+    /// held in `cache` (locked here at the first sealed entry if not yet).
+    fn materialize_entry<'a: 's, 's>(
         &'a self,
-        scratch: &'a mut ArenaScratch,
+        scratch: &'s mut ArenaScratch,
         id: usize,
-    ) -> (&'a [u8], Option<Spans>) {
+        cache: &mut Option<MutexGuard<'a, ExtentCache>>,
+    ) -> (&'s [u8], Option<Spans>) {
         if self.is_full_entry(id) && self.is_resident(id) {
             return (self.stored(id), None);
         }
         let ArenaScratch { bufs, chain, cold, .. } = scratch;
-        let mut cache = None;
         chain.clear();
         let mut cur = id;
         while !self.is_full_entry(cur) {
@@ -1776,7 +1803,7 @@ impl StateArena {
         let [a, b] = bufs;
         let (mut src, mut dst) = (a, b);
         src.clear();
-        self.copy_stored(cur, src, &mut cache);
+        self.copy_stored(cur, src, cache);
         if chain.is_empty() {
             return (src, None);
         }
@@ -1790,7 +1817,7 @@ impl StateArena {
                 self.stored(e)
             } else {
                 cold.clear();
-                self.copy_stored(e, cold, &mut cache);
+                self.copy_stored(e, cold, cache);
                 &cold[..]
             };
             dst.clear();
@@ -1806,10 +1833,16 @@ impl StateArena {
     /// Run `f` on entry `id`'s full encoding: its stored bytes when it is
     /// a resident keyframe, else materialized in this thread's scratch.
     fn with_full<R>(&self, id: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        if self.is_full_entry(id) && self.is_resident(id) {
-            return f(self.stored(id));
-        }
-        SCRATCH.with_borrow_mut(|scratch| f(self.materialize_entry(scratch, id).0))
+        self.reader().with_full(id, f)
+    }
+
+    /// A reader for a run of full-encoding reads, such as a checkpoint's
+    /// walk over every entry: it locks the fault-in cache at the first
+    /// sealed entry it reads and holds the lock until it is dropped,
+    /// where [`Self::append_full_bytes`] locks once per sealed entry.
+    #[must_use]
+    pub fn reader(&self) -> ArenaReader<'_> {
+        ArenaReader { arena: self, cache: None }
     }
 
     /// Append the **full encoding** of state `id` to `out`, whatever its

@@ -2,7 +2,7 @@
 //!
 //! Each function replays the table's specific schedule through the rule
 //! engine and renders it in the paper's format. These are the ground-truth
-//! artefacts for `EXPERIMENTS.md` and the `cxl-bench` harness.
+//! artefacts the `cxl-bench` harness's `report` binary prints.
 
 use crate::render::{Column, TransitionTable};
 use crate::replay::replay;

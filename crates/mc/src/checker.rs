@@ -1791,6 +1791,9 @@ pub(crate) trait StateStore {
     /// from its delta chain / spilled extent when the store compresses,
     /// byte-identical to what was originally stored.
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>);
+    /// Run `f` on every stored state's full encoding in id order, each
+    /// shard segment read through one [`StateArena::reader`].
+    fn for_each_full(&self, f: &mut dyn FnMut(&[u8]));
     fn decode(&self, id: usize) -> SystemState;
     fn decode_into(&self, id: usize, out: &mut SystemState);
 }
@@ -1804,6 +1807,12 @@ impl StateStore for StateArena {
     }
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
         StateArena::append_full_bytes(self, id, out);
+    }
+    fn for_each_full(&self, f: &mut dyn FnMut(&[u8])) {
+        let mut read = self.reader();
+        for id in 0..self.len() {
+            read.with_full(id, &mut *f);
+        }
     }
     fn decode(&self, id: usize) -> SystemState {
         StateArena::decode(self, id)
@@ -2053,6 +2062,13 @@ impl StateStore for ShardedStore {
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
         let (s, slot) = self.locate(id);
         self.shards[s].segment.append_full_bytes(slot, out);
+    }
+    fn for_each_full(&self, f: &mut dyn FnMut(&[u8])) {
+        let mut reads: Vec<_> = self.shards.iter().map(|s| s.segment.reader()).collect();
+        for id in 0..self.len() {
+            let (s, slot) = self.locate(id);
+            reads[s].with_full(slot, &mut *f);
+        }
     }
     fn decode(&self, id: usize) -> SystemState {
         let (s, slot) = self.locate(id);

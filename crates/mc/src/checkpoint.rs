@@ -219,12 +219,11 @@ impl CheckpointSource<'_> {
         let start = out.len();
         let mut lens = Vec::with_capacity(n);
         let mut fps = Vec::with_capacity(n);
-        for id in 0..n {
-            let at = out.len();
-            store.append_full_bytes(id, &mut out);
-            put_varint(&mut lens, (out.len() - at) as u64);
-            fps.push(StateCodec::fingerprint(&out[at..]));
-        }
+        store.for_each_full(&mut |bytes| {
+            out.extend_from_slice(bytes);
+            put_varint(&mut lens, bytes.len() as u64);
+            fps.push(StateCodec::fingerprint(bytes));
+        });
         assert_eq!(out.len() - start, full, "the store's full payload size is exact");
         out.extend_from_slice(&lens);
         for fp in fps {

@@ -49,8 +49,7 @@
 //!
 //! For bounded device programs the model is finite-state, so exploration
 //! here is *exhaustive* — every reachable state is checked, which is the
-//! reproduction's substitute for the theorem-prover proof (see
-//! `DESIGN.md` §4).
+//! reproduction's substitute for the theorem-prover proof.
 //!
 //! ## Example: the headline verification
 //!

@@ -2,8 +2,8 @@
 //! explore the entire reachable state space and check SWMR (paper
 //! Definition 6.1), the full inductive invariant (paper §6), and
 //! deadlock-freedom. This is the reproduction's substitute for the paper's
-//! mechanised SWMR theorem (see DESIGN.md §4): for every bounded
-//! configuration the verdict is exact.
+//! mechanised SWMR theorem: for every bounded configuration the verdict is
+//! exact.
 
 use cxl_core::instr::{Instruction, Program};
 use cxl_core::{Invariant, ProtocolConfig, Ruleset, SystemState};

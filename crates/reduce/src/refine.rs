@@ -32,7 +32,11 @@
 //!    the bytewise-minimal render survive. Because device segments are
 //!    self-delimiting, no valid segment is a proper prefix of another,
 //!    so the segmentwise comparison decides the comparison of any full
-//!    continuations: the greedy choice is exact, not heuristic.
+//!    continuations: the greedy choice is exact, not heuristic. A
+//!    segment's first byte (cache state, buffer tag, quiet bit) is never
+//!    a value, so every render keeps it: only the candidates carrying
+//!    the branch's least first byte are rendered, since any other
+//!    renders greater than they do.
 //! 3. Ties *branch*: two candidates with equal renders may extend the
 //!    value map differently (different raw values behind the same fresh
 //!    tokens) and diverge later, so both survive — the "targeted
@@ -282,8 +286,14 @@ impl RefineLabeller {
             winners.clear();
             next_maps.clear();
             for (parent, br) in branches.iter().enumerate() {
+                // Renders keep a segment's value-free first byte, so a
+                // source whose header exceeds the least among the
+                // branch's unplaced sources can neither win nor tie.
+                let header = |src: usize| bytes[bounds[src]];
+                let unplaced = cell.iter().filter(|&&src| br.used & (1 << src) == 0);
+                let least = unplaced.map(|&src| header(src)).min();
                 'cand: for (ci, &src) in cell.iter().enumerate() {
-                    if br.used & (1 << src) != 0 {
+                    if br.used & (1 << src) != 0 || Some(header(src)) != least {
                         continue;
                     }
                     // Raw dedup: an earlier unplaced byte-identical

@@ -19,10 +19,11 @@
 //! - [`bench_harness`] (`cxl-bench`) — the experiment harness regenerating
 //!   every table and figure of the paper's evaluation.
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory and substitutions, and `EXPERIMENTS.md` for
-//! paper-vs-measured results. Runnable entry points live in `examples/`
-//! and in the `cxl-bench` crate's `report` binary.
+//! `PERFORMANCE.md` explains the checker's design with its measurements,
+//! and `ROADMAP.md` lists what is still open. The `cxl-bench` crate's
+//! `report` binary prints every paper artefact with the paper's claim
+//! beside the measured result; more runnable entry points live in
+//! `examples/`.
 //!
 //! ## Quickstart
 //!

@@ -714,6 +714,48 @@ fn spilled_delta_arena_equals_plain() {
 }
 
 #[test]
+fn one_reader_sweeps_a_spilled_arena_like_per_entry_reads() {
+    // Two identical delta arenas with sealed extents: one swept entry by
+    // entry, the other through one reader, which holds the fault-in
+    // cache's lock for the whole sweep. Same bytes, and the same extents
+    // faulted in, so the cache saw the same access order.
+    let (codec, states) = walk_encoded(3, 300);
+    let build = |tag: &str| {
+        let mut arena = StateArena::new(codec);
+        arena.enable_delta(4);
+        let dir = scratch_spill_dir(tag);
+        arena.enable_spill(&dir, "shard0").unwrap();
+        for (i, (parent, enc)) in states.iter().enumerate() {
+            arena.push_encoded_delta(enc, (*parent != usize::MAX).then_some(*parent as u32));
+            if i % 50 == 49 {
+                arena.spill_cold(i - 10).unwrap();
+            }
+        }
+        (arena, dir)
+    };
+    let (per_entry, dir_a) = build("sweep-per-entry");
+    let (swept, dir_b) = build("sweep-reader");
+    assert!(swept.spilled_extents() >= 5);
+    let mut read = swept.reader();
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for (id, (_, full)) in states.iter().enumerate() {
+        a.clear();
+        per_entry.append_full_bytes(id, &mut a);
+        read.with_full(id, |bytes| {
+            b.clear();
+            b.extend_from_slice(bytes);
+        });
+        assert_eq!(a, *full, "id={id}");
+        assert_eq!(b, *full, "id={id}");
+    }
+    drop(read);
+    assert!(swept.faulted_extents() > 0, "the sweep reads sealed entries");
+    assert_eq!(swept.faulted_extents(), per_entry.faulted_extents());
+    std::fs::remove_dir_all(&dir_a).unwrap();
+    std::fs::remove_dir_all(&dir_b).unwrap();
+}
+
+#[test]
 fn corrupt_extents_are_detected() {
     let (codec, states) = walk_encoded(2, 60);
     let mut arena = StateArena::new(codec);
