@@ -3,9 +3,10 @@
 //! One entry point per table and figure of the paper's evaluation. Each
 //! function regenerates the corresponding artefact (a transition table, a
 //! message-sequence chart, or obligation-matrix statistics) and returns it
-//! in both human-readable and machine-readable (serde) form; the
-//! `report` binary prints everything, and the Criterion benches in
-//! `benches/` measure the computational kernels behind each artefact.
+//! in both human-readable and machine-readable (serde) form, and the
+//! `report` binary prints everything. The verdict benchmark is
+//! `perfbench/` at the repository root; `benches/` holds two per-layer
+//! micro-benches, `codec_parse` and `canon_refine`.
 //!
 //! Experiment index (the `report` binary prints every entry):
 //!
@@ -24,29 +25,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench_results;
 pub mod cli;
-
-pub use bench_results::{current_rss_mb, peak_rss_mb, BenchSnapshot, ThroughputRow};
 
 use cxl_core::{Granularity, Invariant, ProtocolConfig, Relaxation, Ruleset, SystemState};
 use cxl_litmus::{relax, suite, tables};
 use cxl_mc::{ModelChecker, SwmrProperty};
 use cxl_sketch::{default_program_grid, ObligationMatrix, SessionStats, Universe};
 use serde::Serialize;
-
-/// The estimated resident bytes one reached state cost under the
-/// pre-packed-arena representation: the heap `SystemState` footprint
-/// ([`cxl_core::codec::heap_state_bytes`]) plus the `Arc` control block
-/// (two refcounts) and the arena's pointer slot. This is the *baseline*
-/// column of the `mc_throughput` snapshot — packed bytes/state divided by
-/// this gives the compression the packed arena buys.
-#[must_use]
-pub fn baseline_state_bytes(state: &SystemState) -> usize {
-    const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
-    const ARENA_SLOT: usize = std::mem::size_of::<usize>();
-    cxl_core::codec::heap_state_bytes(state) + ARC_HEADER + ARENA_SLOT
-}
 
 /// A printable experiment artefact with machine-readable payload.
 #[derive(Debug, Serialize)]
@@ -368,8 +353,8 @@ pub fn scale_artifact(opts: MatrixOptions) -> (Vec<ScaleRow>, Artifact) {
     (rows, artifact)
 }
 
-/// Exhaustively model-check one scenario and return the report — the
-/// kernel measured by several benches.
+/// Exhaustively model-check one two-device scenario against SWMR and
+/// return the report.
 #[must_use]
 pub fn check_scenario(cfg: ProtocolConfig, initial: &SystemState) -> cxl_mc::Report {
     let mc = ModelChecker::new(Ruleset::new(cfg));

@@ -2092,9 +2092,11 @@ fn read_extent(ext: &Extent) -> std::io::Result<Vec<u8>> {
 }
 
 /// An estimate of a heap `SystemState`'s resident bytes — the *baseline*
-/// the packed arena is compared against in `bench_results` and
-/// `PERFORMANCE.md`: the inline struct size plus its heap blocks
-/// (program queues, spilled channels, the device spill vector).
+/// the packed arena is compared against in
+/// `packed_states_beat_the_heap_baseline`, and the per-state price of
+/// the checker's decoded-frontier ring: the inline struct size plus its
+/// heap blocks (program queues, spilled channels, the device spill
+/// vector).
 #[must_use]
 pub fn heap_state_bytes(state: &SystemState) -> usize {
     use std::mem::size_of;

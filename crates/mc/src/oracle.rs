@@ -1,6 +1,5 @@
 //! The reference exploration: the pre-optimisation algorithm, kept as the
-//! oracle the differential suites pin the driver against and as the
-//! baseline of the `mc_throughput` bench.
+//! oracle the differential suites pin the driver against.
 
 use crate::checker::{Exploration, ModelChecker, NOT_EXPANDED};
 use crate::property::{Property, PropertyOutcome};
@@ -12,14 +11,14 @@ use std::time::Instant;
 
 impl ModelChecker {
     /// The pre-optimisation exploration algorithm, retained verbatim as
-    /// the oracle for differential testing and as the baseline of the
-    /// `mc_throughput` bench: a `HashMap<Arc<SystemState>, usize>` visited
-    /// set (full SipHash per probe), freshly allocated successor vectors,
-    /// allocation-heavy per-level merging, and a terminal-state rescan
-    /// that re-runs successor generation over every reached state after
-    /// the search. Its heap visited set is packed into a [`StateArena`]
-    /// only at the end, so the two pipelines return the same result type
-    /// (and differential tests can compare arenas byte for byte).
+    /// the oracle for differential testing (correctness, not speed): a
+    /// `HashMap<Arc<SystemState>, usize>` visited set (full SipHash per
+    /// probe), freshly allocated successor vectors, allocation-heavy
+    /// per-level merging, and a terminal-state rescan that re-runs
+    /// successor generation over every reached state after the search.
+    /// Its heap visited set is packed into a [`StateArena`] only at the
+    /// end, so the two pipelines return the same result type (and
+    /// differential tests can compare arenas byte for byte).
     #[must_use]
     pub fn explore_naive(&self, initial: &SystemState, props: &[&dyn Property]) -> Exploration {
         let start = Instant::now();

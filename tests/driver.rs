@@ -2,7 +2,8 @@
 //! and shard count, so these pin it against itself across thread counts
 //! (inline and pooled), against the naive reference pipeline, and at
 //! every early stop — `max_states`, the memory budget, pruning, and the
-//! over-cap tail that still property-checks a truncated level. The
+//! over-cap tail that still property-checks a truncated level — and pin
+//! the footprint the memory budget reads against the store's size. The
 //! checker's basic scenarios follow: a one-state space, a clean load,
 //! a replayable violation trace, and the two relaxations that break
 //! SWMR.
@@ -94,6 +95,44 @@ fn mem_budget_truncates_cleanly() {
     );
     // Everything stored still decodes.
     assert_eq!(exp.state(0), init);
+}
+
+#[test]
+fn memory_accounting_covers_every_store_column() {
+    // `Report::memory_bytes` is what `mem_budget` bounds, so it must
+    // count every column the store keeps. Its floor is priced from the
+    // stored states alone: the packed payload, one offset, one parent
+    // link and one successor count per state, and a fingerprint index
+    // sized for them. A footprint that leaves a column out falls under
+    // it; above twice the floor the accounting invents memory. Both
+    // hold at every thread and shard count.
+    use cxl_core::instr::Instruction::{Load, Store};
+    use cxl_core::{FpIndex, RuleId};
+    use std::mem::size_of;
+
+    let init = SystemState::initial_n(
+        3,
+        vec![vec![Store(1), Load].into(), vec![Store(2), Load].into(), programs::loads(2)],
+    );
+    for (threads, shards) in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 8), (1, 8)] {
+        let opts = CheckOptions { threads, shards: Some(shards), ..CheckOptions::default() };
+        let mc =
+            ModelChecker::with_options(Ruleset::with_devices(ProtocolConfig::strict(), 3), opts);
+        let exp = mc.explore(&init, &[]);
+        let states = exp.report.states;
+        assert_eq!(states, 11_727, "threads {threads}, shards {shards}");
+        let per_state =
+            size_of::<usize>() + size_of::<Option<(usize, RuleId)>>() + size_of::<u32>();
+        let floor = exp.arena.byte_len()
+            + states * per_state
+            + FpIndex::with_capacity(states).approx_heap_bytes();
+        let used = exp.report.memory_bytes;
+        assert!(
+            floor <= used && used <= 2 * floor,
+            "threads {threads}, shards {shards}: footprint {used} B outside [{floor}, {}] B",
+            2 * floor
+        );
+    }
 }
 
 #[test]

@@ -182,6 +182,10 @@ fn small_budget_truncates_plain_but_completes_with_delta_spill() {
     assert!(compressed.report.delta_entries > 0, "delta encoding engaged");
     assert!(compressed.report.spilled_extents > 0, "spilling engaged");
     assert_same_results(&unrestricted, &compressed, "acceptance");
+    // Parent deltas alone cut the stored payload, resident and sealed
+    // together, below 3/4 of the full encodings it replaces.
+    let (stored, full) = (compressed.arena.byte_len(), compressed.arena.full_payload_bytes());
+    assert!(stored * 4 < full * 3, "delta payload {stored} B is not under 3/4 of {full} B");
 
     // The compressed resident store really is smaller per state — at
     // least 2× under the PR 7 N=4 snapshot's 46.669 B/state (and under

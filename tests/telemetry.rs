@@ -27,7 +27,7 @@ use common::all_engine_combos;
 
 /// A fresh scratch directory under the system temp root, unique per
 /// test (and per process, so parallel `cargo test` invocations never
-/// collide).
+/// collide). Each test removes its own at the end.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cxl-telemetry-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -176,6 +176,7 @@ fn jsonl_level_records_sum_to_final_report_across_reduction_matrix() {
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Attaching a recorder must not perturb the exploration: the packed
@@ -296,6 +297,7 @@ fn flight_ring_survives_checkpoint_resume() {
     for pair in flight.windows(2) {
         assert!(pair[0].seq < pair[1].seq, "seq must be strictly increasing: {flight:?}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Metrics across a crash boundary, with the spill layer on: the level
@@ -365,4 +367,5 @@ fn interrupted_plus_resumed_metrics_sum_to_uninterrupted_totals() {
     assert_eq!(d1, cut as u64, "first session stops at the cut");
     assert_eq!(d2, df, "second session reaches the full depth");
     assert_eq!(sf + 1, baseline.report.states as u64, "full-run sanity");
+    let _ = std::fs::remove_dir_all(&dir);
 }
