@@ -11,9 +11,9 @@
 
 use cxl_bench::cli::{arg_value, check_args};
 use cxl_bench::{
-    figure5_artifact, figure6_artifact, litmus_artifact, obligation_artifact,
-    relaxation_artifact, scale_artifact, table1_artifact, table2_artifact, table3_artifact,
-    Artifact, MatrixOptions,
+    figure5_artifact, figure6_artifact, litmus_artifact, obligation_artifact, relaxation_artifact,
+    run_matrix, scale_artifact, table1_artifact, table2_artifact, table3_artifact, Artifact,
+    MatrixOptions,
 };
 use cxl_core::Granularity;
 
@@ -81,15 +81,24 @@ fn main() {
     banner(&relax);
     artifacts.push(relax);
 
-    let fig1 = obligation_artifact(opts);
+    // Figure 1 and the §6 scale row read one matrix; Figure 6 reads a
+    // standard-granularity one, which under --quick is the same matrix.
+    let (stats, matrix) = run_matrix(opts);
+    let fig1 = obligation_artifact(&stats, &matrix);
     banner(&fig1);
     artifacts.push(fig1);
 
-    let fig6 = figure6_artifact(MatrixOptions { random_states: 200, ..opts });
+    let fig6_opts =
+        MatrixOptions { granularity: Granularity::Standard, random_states: 200, ..opts };
+    let fig6 = if fig6_opts == opts {
+        figure6_artifact(&matrix)
+    } else {
+        figure6_artifact(&run_matrix(fig6_opts).1)
+    };
     banner(&fig6);
     artifacts.push(fig6);
 
-    let (scale_rows, scale) = scale_artifact(opts);
+    let (scale_rows, scale) = scale_artifact(&stats);
     banner(&scale);
     artifacts.push(scale);
 

@@ -27,9 +27,9 @@
 
 pub mod cli;
 
-use cxl_core::{Granularity, Invariant, ProtocolConfig, Relaxation, Ruleset, SystemState};
+use cxl_core::{Granularity, Invariant, ProtocolConfig, Ruleset, SystemState};
 use cxl_litmus::{relax, suite, tables};
-use cxl_mc::{ModelChecker, SwmrProperty};
+use cxl_mc::ModelChecker;
 use cxl_sketch::{default_program_grid, ObligationMatrix, SessionStats, Universe};
 use serde::Serialize;
 
@@ -121,7 +121,7 @@ pub fn figure5_artifact() -> Artifact {
 }
 
 /// Options for the obligation-matrix experiments.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatrixOptions {
     /// Conjunct granularity.
     pub granularity: Granularity,
@@ -172,13 +172,13 @@ pub fn run_matrix(opts: MatrixOptions) -> (SessionStats, cxl_sketch::MatrixRepor
     (SessionStats::from_report(&report), report)
 }
 
-/// Paper **Figure 1** / §6 scale: the preservation-lemma matrix.
+/// Paper **Figure 1** / §6 scale: the preservation-lemma matrix, rendered
+/// from one [`run_matrix`] result.
 #[must_use]
-pub fn obligation_artifact(opts: MatrixOptions) -> Artifact {
-    let (stats, report) = run_matrix(opts);
-    let mut text = serde_json::to_string_pretty(&stats).expect("stats serialise");
+pub fn obligation_artifact(stats: &SessionStats, report: &cxl_sketch::MatrixReport) -> Artifact {
+    let mut text = serde_json::to_string_pretty(stats).expect("stats serialise");
     text.push('\n');
-    text.push_str(&cxl_sketch::per_rule_table(&report));
+    text.push_str(&cxl_sketch::per_rule_table(report));
     Artifact {
         id: "figure1".into(),
         paper_claim: "796 conjuncts × 68 rules = 53,332 preservation lemmas, nearly all \
@@ -199,11 +199,11 @@ pub fn obligation_artifact(opts: MatrixOptions) -> Artifact {
 }
 
 /// Paper **Figure 6**: a super_sketch-style proof script for one rule
-/// lemma.
+/// lemma, rendered from one [`run_matrix`] result (the `report` binary
+/// discharges it at the standard granularity).
 #[must_use]
-pub fn figure6_artifact(opts: MatrixOptions) -> Artifact {
-    let (_, report) = run_matrix(MatrixOptions { granularity: Granularity::Standard, ..opts });
-    let script = cxl_sketch::rule_lemma_script(&report, "SharedSnpInv1");
+pub fn figure6_artifact(report: &cxl_sketch::MatrixReport) -> Artifact {
+    let script = cxl_sketch::rule_lemma_script(report, "SharedSnpInv1");
     Artifact {
         id: "figure6".into(),
         paper_claim: "super_sketch emits an Isar skeleton with sledgehammer-found proofs \
@@ -308,10 +308,10 @@ pub struct ScaleRow {
     pub measured: String,
 }
 
-/// Paper **§6** proof-scale statistics: conjuncts, rules, obligations.
+/// Paper **§6** proof-scale statistics: conjuncts, rules, obligations, from
+/// one [`run_matrix`] result.
 #[must_use]
-pub fn scale_artifact(opts: MatrixOptions) -> (Vec<ScaleRow>, Artifact) {
-    let (stats, _) = run_matrix(opts);
+pub fn scale_artifact(stats: &SessionStats) -> (Vec<ScaleRow>, Artifact) {
     let rows = vec![
         ScaleRow {
             quantity: "invariant conjuncts".into(),
@@ -353,25 +353,12 @@ pub fn scale_artifact(opts: MatrixOptions) -> (Vec<ScaleRow>, Artifact) {
     (rows, artifact)
 }
 
-/// Exhaustively model-check one two-device scenario against SWMR and
-/// return the report.
-#[must_use]
-pub fn check_scenario(cfg: ProtocolConfig, initial: &SystemState) -> cxl_mc::Report {
-    let mc = ModelChecker::new(Ruleset::new(cfg));
-    mc.check(initial, &[&SwmrProperty])
-}
-
-/// Violation-search kernel: explore a relaxed model until the first SWMR
-/// violation.
-#[must_use]
-pub fn violation_search(relaxation: Relaxation, initial: &SystemState) -> cxl_mc::Report {
-    check_scenario(ProtocolConfig::relaxed(relaxation), initial)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cxl_core::instr::programs;
+    use cxl_core::Relaxation;
+    use cxl_mc::SwmrProperty;
 
     #[test]
     fn table_artifacts_render() {
@@ -405,7 +392,8 @@ mod tests {
     #[test]
     fn violation_search_finds_table3() {
         let init = SystemState::initial(programs::store(42), programs::load());
-        let report = violation_search(Relaxation::SnoopPushesGo, &init);
+        let cfg = ProtocolConfig::relaxed(Relaxation::SnoopPushesGo);
+        let report = ModelChecker::new(Ruleset::new(cfg)).check(&init, &[&SwmrProperty]);
         assert!(!report.violations.is_empty());
     }
 }

@@ -125,8 +125,8 @@ impl<T> Channel<T> {
     /// are cleared and refilled message by message, staying inline (no
     /// allocation) for the singleton channels of every reachable state.
     /// (A spilled channel's heap buffer is dropped here — the ≥ 2-message
-    /// refill path reuses it through [`Self::spill_mut`] instead of
-    /// going through `clear`.)
+    /// refill path reuses it through the crate-internal `spill_mut`
+    /// instead of going through `clear`.)
     pub fn clear(&mut self) {
         self.store = Store::Empty;
     }

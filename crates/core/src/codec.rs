@@ -1463,12 +1463,6 @@ impl StateArena {
         }
     }
 
-    /// The configured keyframe interval (0 = delta storage off).
-    #[must_use]
-    pub fn keyframe_interval(&self) -> u32 {
-        self.keyframe_every
-    }
-
     /// The smallest entry id touched when materializing `id`: `id`'s
     /// keyframe-chain root (bases strictly decrease along a chain, so
     /// the root is the minimum). Spill callers take the min of this

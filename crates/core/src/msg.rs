@@ -242,12 +242,6 @@ impl H2DRsp {
     pub fn new(ty: H2DRspType, state: DState, tid: Tid) -> Self {
         H2DRsp { ty, state, tid }
     }
-
-    /// Is this a plain GO granting `state`?
-    #[must_use]
-    pub fn is_go(self) -> bool {
-        self.ty == H2DRspType::GO
-    }
 }
 
 impl fmt::Display for H2DRsp {

@@ -24,9 +24,12 @@
 //! - "snoop the other sharer" snoops **every** tracked sharer peer at
 //!   once, and the `MA` collection rule sends the GO only after the last
 //!   outstanding snoop response has been consumed;
-//! - response/data collection consumes from the lowest-indexed peer with a
-//!   matching message (the host's deterministic internal scan order —
-//!   interleavings with device actions remain fully nondeterministic).
+//! - each collection rule (consuming a snoop response or forwarded data,
+//!   or snooping the owner) is one function of an explicit peer `o`. The
+//!   unreduced search fires it as the first peer, in ascending order, that
+//!   fires; the symmetry engine fires it once per peer. So the lowest-peer
+//!   successor is the first firing variant. Interleavings with device
+//!   actions remain fully nondeterministic.
 //!
 //! For `N = 2` each quantifier collapses to the single other device, and
 //! exploration is bit-identical to the closed two-device model (held by
@@ -115,12 +118,6 @@ fn any_peer_sharer(s: &SystemState, r: DeviceId, cfg: &ProtocolConfig) -> bool {
     s.peer_ids(r).any(|p| tracked_sharer(s, p, cfg))
 }
 
-/// The tracked owner among `r`'s peers, if any (unique in every state the
-/// host-agreement invariant admits; the lowest index wins otherwise).
-fn owner_peer(s: &SystemState, r: DeviceId, cfg: &ProtocolConfig) -> Option<DeviceId> {
-    s.peer_ids(r).find(|&p| tracked_owner(s, p, cfg))
-}
-
 /// The D2HRsp head of device `o`, if it satisfies `matches`.
 fn rsp_head_matching(
     s: &SystemState,
@@ -139,26 +136,6 @@ fn live_data_head(s: &SystemState, o: DeviceId) -> Option<DataMsg> {
         Some(d) if !d.bogus => Some(*d),
         _ => None,
     }
-}
-
-/// The lowest-indexed peer of `r` whose D2HRsp head satisfies `matches`,
-/// with that head — the host's deterministic internal scan order. The
-/// `*_from` rule variants below take the responding peer explicitly
-/// instead, which is what makes the collection rules equivariant under
-/// device permutation (the successor relation the symmetry-reduction
-/// engine explores).
-fn peer_with_rsp(
-    s: &SystemState,
-    r: DeviceId,
-    matches: impl Fn(D2HRspType) -> bool,
-) -> Option<(DeviceId, D2HRsp)> {
-    s.peer_ids(r).find_map(|p| rsp_head_matching(s, p, &matches).map(|m| (p, m)))
-}
-
-/// The lowest-indexed peer of `r` with a live (non-bogus) D2HData head,
-/// with that message (see [`peer_with_rsp`] on scan order).
-fn peer_with_live_data(s: &SystemState, r: DeviceId) -> Option<(DeviceId, DataMsg)> {
-    s.peer_ids(r).find_map(|p| live_data_head(s, p).map(|m| (p, m)))
 }
 
 /// The request at the head of `r`'s D2HReq channel, if it matches `ty` and
@@ -231,24 +208,16 @@ pub(super) fn shared_rd_shared(
     true
 }
 
-/// `RdShared` on an owned line — snoop the owner with `SnpData` (carrying
-/// the requester's tid, legal per the paper's §4.1 clarification) and wait
-/// in `SAD` for its response and forwarded data.
+/// `RdShared` on an owned line — snoop the owner `o` with `SnpData`
+/// (carrying the requester's tid, legal per the paper's §4.1
+/// clarification) and wait in `SAD` for its response and forwarded data.
+///
+/// `o` must be a tracked owner that may be snooped now, so the unreduced
+/// search snoops the lowest such owner. The tracked owner is unique in
+/// every state the host-agreement invariant admits. Where a requester has
+/// two tracked-owner peers and the lower may not be snooped, this snoops
+/// the higher, where a scan for the lowest tracked owner snoops neither.
 pub(super) fn modified_rd_shared(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match owner_peer(s, r, cfg) {
-        Some(o) => modified_rd_shared_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`modified_rd_shared`] with the snooped owner `o` given explicitly —
-/// the equivariant variant the symmetry engine enumerates.
-pub(super) fn modified_rd_shared_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -364,22 +333,11 @@ pub(super) fn shared_rd_own_other(
     true
 }
 
-/// `RdOwn` on an owned line — snoop the owner with `SnpInv` and wait in
-/// `MAD` for its response *and* its dirty data.
+/// `RdOwn` on an owned line — snoop the owner `o` with `SnpInv` and wait
+/// in `MAD` for its response *and* its dirty data. As in
+/// [`modified_rd_shared`], `o` must be a tracked owner that may be
+/// snooped now.
 pub(super) fn modified_rd_own(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match owner_peer(s, r, cfg) {
-        Some(o) => modified_rd_own_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`modified_rd_own`] with the snooped owner `o` given explicitly.
-pub(super) fn modified_rd_own_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -403,9 +361,9 @@ pub(super) fn modified_rd_own_from(
 }
 
 // ---------------------------------------------------------------------
-// Response and data collection. Rules are indexed by the *requester* `r`;
-// the snooped device is found among `r`'s peers (matching the paper's
-// naming: `MARspIHitI1` serves device 1's transaction).
+// Response and data collection. Rules are indexed by the *requester* `r`
+// (matching the paper's naming: `MARspIHitI1` serves device 1's
+// transaction) and consume from the explicit peer `o`.
 // ---------------------------------------------------------------------
 
 /// Is `r` the requester the host transient state is serving a shared grant
@@ -433,21 +391,9 @@ fn m_grant_requester(s: &SystemState, r: DeviceId) -> bool {
         && s.dev(r).d2h_req.is_empty()
 }
 
-/// `SAD` + the owner's `RspSFwdM` → `SD` (awaiting the forwarded data).
+/// `SAD` + the owner `o`'s `RspSFwdM` → `SD` (awaiting the forwarded
+/// data).
 pub(super) fn sad_rsp_s_fwd_m(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_rsp(s, r, |ty| ty == D2HRspType::RspSFwdM) {
-        Some((o, _)) => sad_rsp_s_fwd_m_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`sad_rsp_s_fwd_m`] consuming the response of peer `o` explicitly.
-pub(super) fn sad_rsp_s_fwd_m_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -466,22 +412,9 @@ pub(super) fn sad_rsp_s_fwd_m_from(
     true
 }
 
-/// `SAD` + the owner's forwarded data first → copy it in, forward it to
-/// the requester, and await the response in `SA`.
+/// `SAD` + the owner `o`'s forwarded data first → copy it in, forward it
+/// to the requester, and await the response in `SA`.
 pub(super) fn sad_data(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_live_data(s, r) {
-        Some((o, _)) => sad_data_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`sad_data`] consuming the forwarded data of peer `o` explicitly.
-pub(super) fn sad_data_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -502,22 +435,9 @@ pub(super) fn sad_data_from(
     true
 }
 
-/// `SD` + the forwarded data → copy it in, send data + GO-S to the
+/// `SD` + `o`'s forwarded data → copy it in, send data + GO-S to the
 /// requester; the line is shared.
 pub(super) fn sd_data(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_live_data(s, r) {
-        Some((o, _)) => sd_data_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`sd_data`] consuming the forwarded data of peer `o` explicitly.
-pub(super) fn sd_data_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -541,22 +461,9 @@ pub(super) fn sd_data_from(
     true
 }
 
-/// `SA` + the owner's `RspSFwdM` → send GO-S (the data was already
+/// `SA` + the owner `o`'s `RspSFwdM` → send GO-S (the data was already
 /// forwarded); the line is shared.
 pub(super) fn sa_rsp_s_fwd_m(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_rsp(s, r, |ty| ty == D2HRspType::RspSFwdM) {
-        Some((o, _)) => sa_rsp_s_fwd_m_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`sa_rsp_s_fwd_m`] consuming the response of peer `o` explicitly.
-pub(super) fn sa_rsp_s_fwd_m_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -579,21 +486,8 @@ pub(super) fn sa_rsp_s_fwd_m_from(
     true
 }
 
-/// `MAD` + the owner's `RspIFwdM` → `MD` (awaiting the dirty data).
+/// `MAD` + the owner `o`'s `RspIFwdM` → `MD` (awaiting the dirty data).
 pub(super) fn mad_rsp_i_fwd_m(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_rsp(s, r, |ty| ty == D2HRspType::RspIFwdM) {
-        Some((o, _)) => mad_rsp_i_fwd_m_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`mad_rsp_i_fwd_m`] consuming the response of peer `o` explicitly.
-pub(super) fn mad_rsp_i_fwd_m_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -612,22 +506,9 @@ pub(super) fn mad_rsp_i_fwd_m_from(
     true
 }
 
-/// `MAD` + the dirty data first → copy it in, forward it to the requester,
-/// and await the response in `MA`.
+/// `MAD` + `o`'s dirty data first → copy it in, forward it to the
+/// requester, and await the response in `MA`.
 pub(super) fn mad_data(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_live_data(s, r) {
-        Some((o, _)) => mad_data_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`mad_data`] consuming the forwarded data of peer `o` explicitly.
-pub(super) fn mad_data_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -648,22 +529,9 @@ pub(super) fn mad_data_from(
     true
 }
 
-/// `MD` + the dirty data → copy it in, send data + GO-M to the requester;
-/// the line is owned by the requester.
+/// `MD` + `o`'s dirty data → copy it in, send data + GO-M to the
+/// requester; the line is owned by the requester.
 pub(super) fn md_data(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_live_data(s, r) {
-        Some((o, _)) => md_data_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`md_data`] consuming the forwarded data of peer `o` explicitly.
-pub(super) fn md_data_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,
@@ -694,30 +562,14 @@ pub(super) fn md_data_from(
 /// (paper Table 3's `MARspIHitI` step).
 ///
 /// With three or more devices, [`shared_rd_own_other`] may have snooped
-/// several sharers; this rule then fires once per response (lowest-indexed
-/// responding peer first), staying in `MA` until none of the requester's
-/// peers has a snoop or response in flight. For `N = 2` there is exactly
-/// one snooped peer and the GO launches on the first firing, exactly as in
-/// the two-device model.
+/// several sharers; this rule then fires once per response, staying in
+/// `MA` until none of the requester's peers has a snoop or response in
+/// flight. The "last outstanding snoop" quantification is over *all*
+/// peers, so the GO launches after the final response whatever order the
+/// responses were consumed in. For `N = 2` there is exactly one snooped
+/// peer and the GO launches on the first firing, exactly as in the
+/// two-device model.
 pub(super) fn ma_snp_rsp(
-    s: &SystemState,
-    r: DeviceId,
-    cfg: &ProtocolConfig,
-    out: &mut SystemState,
-) -> bool {
-    match peer_with_rsp(s, r, |ty| {
-        matches!(ty, D2HRspType::RspIHitSE | D2HRspType::RspIFwdM | D2HRspType::RspIHitI)
-    }) {
-        Some((o, _)) => ma_snp_rsp_from(s, r, o, cfg, out),
-        None => false,
-    }
-}
-
-/// [`ma_snp_rsp`] consuming the response of peer `o` explicitly. The
-/// "last outstanding snoop" quantification is over *all* peers either
-/// way, so the GO launches after the final response regardless of the
-/// order the responses were consumed in.
-pub(super) fn ma_snp_rsp_from(
     s: &SystemState,
     r: DeviceId,
     o: DeviceId,

@@ -75,8 +75,18 @@ pub enum H2DChannel {
     Data,
 }
 
+/// How a shape fires, and the one function that defines it.
+enum Fire {
+    /// For its acting device alone: `(state, device, config, out)`.
+    Own(fn(&SystemState, DeviceId, &ProtocolConfig, &mut SystemState) -> bool),
+    /// Once per peer of the requester: `(state, requester, peer, config,
+    /// out)` — the host collection rules ([`Shape::peer_scan`]).
+    Peer(fn(&SystemState, DeviceId, DeviceId, &ProtocolConfig, &mut SystemState) -> bool),
+}
+
 macro_rules! shapes {
-    ($( $(#[$doc:meta])* $name:ident => ($cat:ident, $pt:literal, $func:path) ),+ $(,)?) => {
+    ($( $(#[$doc:meta])* $name:ident => ($cat:ident, $pt:literal, $fire:ident($func:path)) ),+
+     $(,)?) => {
         /// A device-indexed rule shape. See the module docs for provenance.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
         pub enum Shape {
@@ -106,11 +116,9 @@ macro_rules! shapes {
                 }
             }
 
-            fn fire_fn(
-                self,
-            ) -> fn(&SystemState, DeviceId, &ProtocolConfig, &mut SystemState) -> bool {
+            fn fire(self) -> Fire {
                 match self {
-                    $( Shape::$name => $func, )+
+                    $( Shape::$name => Fire::$fire($func), )+
                 }
             }
         }
@@ -123,35 +131,35 @@ shapes! {
     // ------------------------------------------------------------------
     /// Paper Fig. 4 `InvalidLoad`: an invalid line with a pending `Load`
     /// requests `RdShared` and enters `ISAD`.
-    InvalidLoad => (DeviceIssue, false, device::invalid_load),
+    InvalidLoad => (DeviceIssue, false, Own(device::invalid_load)),
     /// An invalid line with a pending `Store` requests `RdOwn` and enters
     /// `IMAD` (paper Table 3 row `InvalidStore1`).
-    InvalidStore => (DeviceIssue, false, device::invalid_store),
+    InvalidStore => (DeviceIssue, false, Own(device::invalid_store)),
     /// Evicting an invalid line is a no-op: the instruction retires
     /// ("Subsequent Evicts have no effect on DCache1 because it is already
     /// invalid", paper §5.1).
-    InvalidEvict => (DeviceIssue, false, device::invalid_evict),
+    InvalidEvict => (DeviceIssue, false, Own(device::invalid_evict)),
     /// A load hits a shared line and retires locally.
-    SharedLoad => (DeviceIssue, false, device::shared_load),
+    SharedLoad => (DeviceIssue, false, Own(device::shared_load)),
     /// A store to a shared line requests ownership (`RdOwn`) and enters
     /// `SMAD`.
-    SharedStore => (DeviceIssue, false, device::shared_store),
+    SharedStore => (DeviceIssue, false, Own(device::shared_store)),
     /// Paper Table 1 `SharedEvict`: a clean line is relinquished via
     /// `CleanEvict`, entering `SIA`.
-    SharedEvict => (DeviceIssue, false, device::shared_evict),
+    SharedEvict => (DeviceIssue, false, Own(device::shared_evict)),
     /// As `SharedEvict`, but via `CleanEvictNoData` (device refuses to
     /// supply data), entering `SIAC`. Enabled by
     /// [`ProtocolConfig::clean_evict_no_data`].
-    SharedEvictNoData => (DeviceIssue, false, device::shared_evict_no_data),
+    SharedEvictNoData => (DeviceIssue, false, Own(device::shared_evict_no_data)),
     /// A load hits a modified line and retires locally.
-    ModifiedLoad => (DeviceIssue, false, device::modified_load),
+    ModifiedLoad => (DeviceIssue, false, Own(device::modified_load)),
     /// Paper Fig. 4 `ModifiedStore`: a store hits an owned line — no
     /// coherence messages needed; the value is written and the buffer
     /// cleared.
-    ModifiedStore => (DeviceIssue, false, device::modified_store),
+    ModifiedStore => (DeviceIssue, false, Own(device::modified_store)),
     /// Paper Table 2 `ModifiedEvict`: a dirty line is relinquished via
     /// `DirtyEvict`, entering `MIA`.
-    ModifiedEvict => (DeviceIssue, false, device::modified_evict),
+    ModifiedEvict => (DeviceIssue, false, Own(device::modified_evict)),
 
     // ------------------------------------------------------------------
     // Device completion rules: consuming GO and Data messages. The A/D
@@ -159,52 +167,52 @@ shapes! {
     // on distinct channels and may arrive in either order.
     // ------------------------------------------------------------------
     /// `ISAD` consumes its GO(-S): awaiting only data (`ISD`).
-    IsadGo => (DeviceCompletion, false, device::isad_go),
+    IsadGo => (DeviceCompletion, false, Own(device::isad_go)),
     /// `ISAD` consumes its data: awaiting only the GO (`ISA`).
-    IsadData => (DeviceCompletion, false, device::isad_data),
+    IsadData => (DeviceCompletion, false, Own(device::isad_data)),
     /// `ISD` consumes its data, completing the load: line becomes `S`
     /// (paper Table 3's `ISADGO+Data` compound step is the composition of
     /// `IsadGo` and this rule).
-    IsdData => (DeviceCompletion, false, device::isd_data),
+    IsdData => (DeviceCompletion, false, Own(device::isd_data)),
     /// `ISA` consumes its GO, completing the load: line becomes `S`.
-    IsaGo => (DeviceCompletion, false, device::isa_go),
+    IsaGo => (DeviceCompletion, false, Own(device::isa_go)),
     /// `IMAD` consumes its GO(-M): `IMD`.
-    ImadGo => (DeviceCompletion, false, device::imad_go),
+    ImadGo => (DeviceCompletion, false, Own(device::imad_go)),
     /// `IMAD` consumes its data: `IMA`.
-    ImadData => (DeviceCompletion, false, device::imad_data),
+    ImadData => (DeviceCompletion, false, Own(device::imad_data)),
     /// `IMD` consumes its data and performs the pending store: `M`.
-    ImdData => (DeviceCompletion, false, device::imd_data),
+    ImdData => (DeviceCompletion, false, Own(device::imd_data)),
     /// `IMA` consumes its GO and performs the pending store: `M`.
-    ImaGo => (DeviceCompletion, false, device::ima_go),
+    ImaGo => (DeviceCompletion, false, Own(device::ima_go)),
     /// `SMAD` consumes its GO(-M): `SMD`.
-    SmadGo => (DeviceCompletion, false, device::smad_go),
+    SmadGo => (DeviceCompletion, false, Own(device::smad_go)),
     /// `SMAD` consumes its data: `SMA`.
-    SmadData => (DeviceCompletion, false, device::smad_data),
+    SmadData => (DeviceCompletion, false, Own(device::smad_data)),
     /// `SMD` consumes its data and performs the pending store: `M`.
-    SmdData => (DeviceCompletion, false, device::smd_data),
+    SmdData => (DeviceCompletion, false, Own(device::smd_data)),
     /// `SMA` consumes its GO and performs the pending store: `M`.
-    SmaGo => (DeviceCompletion, false, device::sma_go),
+    SmaGo => (DeviceCompletion, false, Own(device::sma_go)),
     /// Paper Table 1 `SIAGO_WritePullDrop`: a clean eviction completes
     /// without a data transfer.
-    SiaGoWritePullDrop => (DeviceCompletion, false, device::sia_go_write_pull_drop),
+    SiaGoWritePullDrop => (DeviceCompletion, false, Own(device::sia_go_write_pull_drop)),
     /// A clean eviction whose data the host chose to pull
     /// ([`ProtocolConfig::clean_evict_pull`]): the device supplies the
     /// clean data and invalidates.
-    SiaGoWritePull => (DeviceCompletion, false, device::sia_go_write_pull),
+    SiaGoWritePull => (DeviceCompletion, false, Own(device::sia_go_write_pull)),
     /// A `CleanEvictNoData` eviction completes; the host never pulls.
-    SiacGoWritePullDrop => (DeviceCompletion, false, device::siac_go_write_pull_drop),
+    SiacGoWritePullDrop => (DeviceCompletion, false, Own(device::siac_go_write_pull_drop)),
     /// Paper Table 2 `MIAGO_WritePull`: a dirty eviction is pulled — the
     /// device sends its dirty data and invalidates.
-    MiaGoWritePull => (DeviceCompletion, false, device::mia_go_write_pull),
+    MiaGoWritePull => (DeviceCompletion, false, Own(device::mia_go_write_pull)),
     /// A *stale* eviction is pulled: the device must mark the data bogus
     /// (CXL §3.2.5.4 via paper §4.4).
-    IiaGoWritePull => (DeviceCompletion, false, device::iia_go_write_pull),
+    IiaGoWritePull => (DeviceCompletion, false, Own(device::iia_go_write_pull)),
     /// A stale eviction is dropped — the paper's §4.4 proposed
     /// optimisation: no bogus data traffic at all.
-    IiaGoWritePullDrop => (DeviceCompletion, false, device::iia_go_write_pull_drop),
+    IiaGoWritePullDrop => (DeviceCompletion, false, Own(device::iia_go_write_pull_drop)),
     /// `ISDI` consumes its data: the load observes the value once and the
     /// line is left invalid (the snoop won).
-    IsdiData => (DeviceCompletion, false, device::isdi_data),
+    IsdiData => (DeviceCompletion, false, Own(device::isdi_data)),
 
     // ------------------------------------------------------------------
     // Device snoop rules. All are guarded by Snoop-pushes-GO (paper Fig. 4
@@ -213,33 +221,33 @@ shapes! {
     // ------------------------------------------------------------------
     /// Paper Fig. 4 `SharedSnpInv`: a shared line is invalidated by a
     /// snoop; the device answers `RspIHitSE`.
-    SharedSnpInv => (DeviceSnoop, false, device::shared_snp_inv),
+    SharedSnpInv => (DeviceSnoop, false, Own(device::shared_snp_inv)),
     /// An owned line is invalidated: the device answers `RspIFwdM` and
     /// forwards its dirty data.
-    ModifiedSnpInv => (DeviceSnoop, false, device::modified_snp_inv),
+    ModifiedSnpInv => (DeviceSnoop, false, Own(device::modified_snp_inv)),
     /// An owned line is downgraded to shared: `RspSFwdM` plus dirty data.
-    ModifiedSnpData => (DeviceSnoop, false, device::modified_snp_data),
+    ModifiedSnpData => (DeviceSnoop, false, Own(device::modified_snp_data)),
     /// A granted-but-dataless line (`ISD`) is invalidated: it answers
     /// `RspIHitSE` and will consume its data once, becoming `I` (`ISDI` —
     /// the state the paper's §6 invariant mentions).
-    IsdSnpInv => (DeviceSnoop, false, device::isd_snp_inv),
+    IsdSnpInv => (DeviceSnoop, false, Own(device::isd_snp_inv)),
     /// An S→M upgrade still holding its S copy (`SMAD`) is invalidated:
     /// it answers `RspIHitSE` and continues the upgrade from `I` (`IMAD`).
-    SmadSnpInv => (DeviceSnoop, false, device::smad_snp_inv),
+    SmadSnpInv => (DeviceSnoop, false, Own(device::smad_snp_inv)),
     /// A clean eviction in flight is overtaken by an invalidating snoop:
     /// the eviction goes stale (`IIA`).
-    SiaSnpInv => (DeviceSnoop, false, device::sia_snp_inv),
+    SiaSnpInv => (DeviceSnoop, false, Own(device::sia_snp_inv)),
     /// As `SiaSnpInv`, for `CleanEvictNoData` evictions.
-    SiacSnpInv => (DeviceSnoop, false, device::siac_snp_inv),
+    SiacSnpInv => (DeviceSnoop, false, Own(device::siac_snp_inv)),
     /// A dirty eviction in flight is overtaken by an invalidating snoop:
     /// the device forwards its dirty data (`RspIFwdM`) and the eviction
     /// goes stale (`IIA`) — the scenario behind CXL's Bogus field
     /// (paper §4.4).
-    MiaSnpInv => (DeviceSnoop, false, device::mia_snp_inv),
+    MiaSnpInv => (DeviceSnoop, false, Own(device::mia_snp_inv)),
     /// A dirty eviction in flight is downgraded by `SnpData`: the device
     /// forwards its data (`RspSFwdM`) and the eviction continues as a
     /// clean one (`SIA`).
-    MiaSnpData => (DeviceSnoop, false, device::mia_snp_data),
+    MiaSnpData => (DeviceSnoop, false, Own(device::mia_snp_data)),
 
     // ------------------------------------------------------------------
     // Host request rules. The modelled host is a blocking directory: a new
@@ -249,53 +257,53 @@ shapes! {
     // ------------------------------------------------------------------
     /// `RdShared` hits an idle line: grant GO-S plus data from the host
     /// copy (paper Table 3 `InvalidRdShared`).
-    HostInvalidRdShared => (HostRequest, false, host::invalid_rd_shared),
+    HostInvalidRdShared => (HostRequest, false, Own(host::invalid_rd_shared)),
     /// `RdShared` hits a shared line: grant GO-S plus data.
-    HostSharedRdShared => (HostRequest, false, host::shared_rd_shared),
+    HostSharedRdShared => (HostRequest, false, Own(host::shared_rd_shared)),
     /// `RdShared` hits an owned line: snoop the owner with `SnpData` and
     /// wait (`SAD`).
-    HostModifiedRdShared => (HostRequest, true, host::modified_rd_shared),
+    HostModifiedRdShared => (HostRequest, true, Peer(host::modified_rd_shared)),
     /// `RdOwn` hits an idle line: grant GO-M plus data.
-    HostInvalidRdOwn => (HostRequest, false, host::invalid_rd_own),
+    HostInvalidRdOwn => (HostRequest, false, Own(host::invalid_rd_own)),
     /// `RdOwn` hits a shared line whose only sharer is the requester:
     /// grant GO-M immediately (a rule the paper notes relies on there
     /// being two devices, §8).
-    HostSharedRdOwnLast => (HostRequest, true, host::shared_rd_own_last),
+    HostSharedRdOwnLast => (HostRequest, true, Own(host::shared_rd_own_last)),
     /// Paper Table 3 `SharedRdOwn`: `RdOwn` hits a shared line with
     /// another sharer: snoop it with `SnpInv`, forward data to the
     /// requester early, and wait (`MA`).
-    HostSharedRdOwnOther => (HostRequest, true, host::shared_rd_own_other),
+    HostSharedRdOwnOther => (HostRequest, true, Own(host::shared_rd_own_other)),
     /// `RdOwn` hits an owned line: snoop the owner with `SnpInv` and wait
     /// for its response and dirty data (`MAD`).
-    HostModifiedRdOwn => (HostRequest, true, host::modified_rd_own),
+    HostModifiedRdOwn => (HostRequest, true, Peer(host::modified_rd_own)),
 
     // ------------------------------------------------------------------
     // Host response rules: consuming snoop responses and forwarded data.
     // ------------------------------------------------------------------
     /// `SAD` consumes the owner's `RspSFwdM`: awaiting only data (`SD`).
-    HostSadRspSFwdM => (HostResponse, true, host::sad_rsp_s_fwd_m),
+    HostSadRspSFwdM => (HostResponse, true, Peer(host::sad_rsp_s_fwd_m)),
     /// `SAD` consumes the forwarded data first: forward it to the
     /// requester and await the response (`SA`).
-    HostSadData => (HostResponse, true, host::sad_data),
+    HostSadData => (HostResponse, true, Peer(host::sad_data)),
     /// `SD` consumes the forwarded data: forward data + GO-S to the
     /// requester; the line is shared.
-    HostSdData => (HostResponse, true, host::sd_data),
+    HostSdData => (HostResponse, true, Peer(host::sd_data)),
     /// `SA` consumes the owner's `RspSFwdM`: send GO-S; the line is
     /// shared.
-    HostSaRspSFwdM => (HostResponse, true, host::sa_rsp_s_fwd_m),
+    HostSaRspSFwdM => (HostResponse, true, Peer(host::sa_rsp_s_fwd_m)),
     /// `MAD` consumes the owner's `RspIFwdM`: awaiting only data (`MD`).
-    HostMadRspIFwdM => (HostResponse, true, host::mad_rsp_i_fwd_m),
+    HostMadRspIFwdM => (HostResponse, true, Peer(host::mad_rsp_i_fwd_m)),
     /// `MAD` consumes the forwarded data first: forward it to the
     /// requester and await the response (`MA`).
-    HostMadData => (HostResponse, true, host::mad_data),
+    HostMadData => (HostResponse, true, Peer(host::mad_data)),
     /// `MD` consumes the forwarded data: forward data + GO-M; the line is
     /// owned by the requester. (Paper Table 3's `MARspIHitI` is the
     /// sibling `HostMaSnpRsp`.)
-    HostMdData => (HostResponse, true, host::md_data),
+    HostMdData => (HostResponse, true, Peer(host::md_data)),
     /// `MA` consumes the snooped device's response (`RspIHitSE`, or
     /// `RspIFwdM` on the data-first path, or the buggy `RspIHitI`): send
     /// GO-M; the line is owned by the requester.
-    HostMaSnpRsp => (HostResponse, true, host::ma_snp_rsp),
+    HostMaSnpRsp => (HostResponse, true, Peer(host::ma_snp_rsp)),
 
     // ------------------------------------------------------------------
     // Host eviction rules (paper Fig. 4 HostModifiedDirtyEvict; Tables 1
@@ -303,48 +311,48 @@ shapes! {
     // ------------------------------------------------------------------
     /// A clean eviction by the last sharer: drop the data; the line goes
     /// idle.
-    HostCleanEvictDropLast => (HostEvict, true, host::clean_evict_drop_last),
+    HostCleanEvictDropLast => (HostEvict, true, Own(host::clean_evict_drop_last)),
     /// Paper Table 1 `Shared_CleanEvict_NotLastDrop`: a clean eviction
     /// while another sharer remains: drop; the line stays shared.
-    HostCleanEvictDropNotLast => (HostEvict, true, host::clean_evict_drop_not_last),
+    HostCleanEvictDropNotLast => (HostEvict, true, Own(host::clean_evict_drop_not_last)),
     /// Clean eviction by the last sharer, with the host electing to pull
     /// the clean data ([`ProtocolConfig::clean_evict_pull`]); the host
     /// blocks (`IB`) until the pulled data arrives and is discarded.
-    HostCleanEvictPullLast => (HostEvict, true, host::clean_evict_pull_last),
+    HostCleanEvictPullLast => (HostEvict, true, Own(host::clean_evict_pull_last)),
     /// As `HostCleanEvictPullLast` with another sharer remaining (`SB`).
-    HostCleanEvictPullNotLast => (HostEvict, true, host::clean_evict_pull_not_last),
+    HostCleanEvictPullNotLast => (HostEvict, true, Own(host::clean_evict_pull_not_last)),
     /// `CleanEvictNoData` by the last sharer: the host must not pull
     /// (paper §3.2), so it drops; the line goes idle.
-    HostCleanEvictNoDataLast => (HostEvict, true, host::clean_evict_no_data_last),
+    HostCleanEvictNoDataLast => (HostEvict, true, Own(host::clean_evict_no_data_last)),
     /// `CleanEvictNoData` with another sharer remaining.
-    HostCleanEvictNoDataNotLast => (HostEvict, true, host::clean_evict_no_data_not_last),
+    HostCleanEvictNoDataNotLast => (HostEvict, true, Own(host::clean_evict_no_data_not_last)),
     /// Paper Fig. 4 / Table 2 `HostModifiedDirtyEvict`: a dirty eviction
     /// is pulled (`GO_WritePull`); the host enters `ID` awaiting the
     /// write-back.
-    HostModifiedDirtyEvict => (HostEvict, true, host::modified_dirty_evict),
+    HostModifiedDirtyEvict => (HostEvict, true, Own(host::modified_dirty_evict)),
     /// Paper Table 2 `IDData`: the written-back data arrives; the host
     /// copies it in and the line goes idle.
-    HostIdData => (HostEvict, false, host::id_data),
+    HostIdData => (HostEvict, false, Own(host::id_data)),
     /// A `DirtyEvict` whose line was meanwhile cleaned by a `SnpData`
     /// (device now in `SIA`): the data has already been forwarded, so the
     /// host drops.
-    HostCleanedDirtyEvictDrop => (HostEvict, true, host::cleaned_dirty_evict_drop),
+    HostCleanedDirtyEvictDrop => (HostEvict, true, Own(host::cleaned_dirty_evict_drop)),
     /// As `HostCleanedDirtyEvictDrop`, but the host elects to pull the
     /// (now clean) data ([`ProtocolConfig::clean_evict_pull`]).
-    HostCleanedDirtyEvictPull => (HostEvict, true, host::cleaned_dirty_evict_pull),
+    HostCleanedDirtyEvictPull => (HostEvict, true, Own(host::cleaned_dirty_evict_pull)),
     /// A *stale* `DirtyEvict` (device in `IIA`): baseline CXL behaviour —
     /// pull, receiving data the device has marked bogus, then discard it
     /// (CXL §3.2.5.4).
-    HostStaleDirtyEvictPull => (HostEvict, true, host::stale_dirty_evict_pull),
+    HostStaleDirtyEvictPull => (HostEvict, true, Own(host::stale_dirty_evict_pull)),
     /// A stale `DirtyEvict` answered with `GO_WritePullDrop` — the paper's
     /// §4.4 proposed optimisation
     /// ([`ProtocolConfig::stale_evict_drop_optimisation`]).
-    HostStaleDirtyEvictDrop => (HostEvict, true, host::stale_dirty_evict_drop),
+    HostStaleDirtyEvictDrop => (HostEvict, true, Own(host::stale_dirty_evict_drop)),
     /// A stale `CleanEvict`/`CleanEvictNoData` (device in `IIA`): drop.
-    HostStaleCleanEvictDrop => (HostEvict, true, host::stale_clean_evict_drop),
+    HostStaleCleanEvictDrop => (HostEvict, true, Own(host::stale_clean_evict_drop)),
     /// A blocked host (`IB`/`SB`/`MB`) discards pulled eviction data and
     /// returns to its stable state.
-    HostBlockedData => (HostEvict, false, host::blocked_data),
+    HostBlockedData => (HostEvict, false, Own(host::blocked_data)),
 
     // ------------------------------------------------------------------
     // Relaxed/buggy rules (paper §5.2): enabled only when the
@@ -354,11 +362,11 @@ shapes! {
     /// snoop *before* the pending GO, answering `RspIHitI`. Only enabled
     /// when Snoop-pushes-GO is relaxed; firing it leads to the Figure 5
     /// coherence violation.
-    IsadSnpInvBuggy => (Relaxed, false, device::isad_snp_inv_buggy),
+    IsadSnpInvBuggy => (Relaxed, false, Own(device::isad_snp_inv_buggy)),
     /// The host answers a `DirtyEvict` with `GO_WritePull` *while* a snoop
     /// to the same device is outstanding — a GO tailgating a snoop. Only
     /// enabled when GO-cannot-tailgate-snoop is relaxed.
-    HostEagerStaleDirtyEvict => (Relaxed, true, host::eager_stale_dirty_evict),
+    HostEagerStaleDirtyEvict => (Relaxed, true, Own(host::eager_stale_dirty_evict)),
 }
 
 impl Shape {
@@ -371,8 +379,9 @@ impl Shape {
 
     /// The device cache state a *device-side* shape requires of its
     /// acting device, or `None` for host-side shapes. This is the
-    /// bucketing key of [`Ruleset::successors_into`]: a state only ever
-    /// consults the shapes filed under its two devices' cache states.
+    /// bucketing key of successor generation
+    /// ([`Ruleset::for_each_enabled_mut`]): a state only ever consults the
+    /// shapes filed under its devices' cache states.
     #[must_use]
     pub fn device_state_key(self) -> Option<DState> {
         match self {
@@ -409,7 +418,7 @@ impl Shape {
 
     /// The host states under which a *host-side* shape can possibly fire,
     /// or `None` for device-side shapes — the host half of the bucketing
-    /// key of [`Ruleset::successors_into`].
+    /// key of successor generation ([`Ruleset::for_each_enabled_mut`]).
     #[must_use]
     pub fn host_state_keys(self) -> Option<&'static [HState]> {
         match self {
@@ -451,18 +460,16 @@ impl Shape {
         }
     }
 
-    /// Does this host-side shape consume a message found by scanning the
-    /// requester's *peers* (snoop responses, forwarded data, or the
-    /// snooped-owner search)? These are the only rules whose determinised
-    /// "lowest-indexed peer first" scan order is not equivariant under
-    /// device permutation; [`Ruleset::fire_variants`] exposes their
-    /// one-successor-per-matching-peer form, which the symmetry-reduction
-    /// engine explores instead.
+    /// Is this a host collection rule, defined for one explicit peer of
+    /// its requester (a snoop response, forwarded data, or the snooped
+    /// owner)? [`Ruleset::try_fire_into`] fires such a rule as the first
+    /// peer, in ascending index order, for which it fires; that choice
+    /// does not commute with device permutation.
+    /// [`Ruleset::fire_variants`] fires it once for each peer, which is
+    /// the relation the symmetry-reduction engine explores.
     #[must_use]
     pub fn peer_scan(self) -> bool {
-        // Defined by the dispatch table itself, so the metadata cannot
-        // drift from the set of shapes fire_variants actually fans out.
-        Ruleset::peer_fire_fn(self).is_some()
+        matches!(self.fire(), Fire::Peer(_))
     }
 
     /// Does this shape's guard require a non-empty message channel (i.e.
@@ -811,13 +818,9 @@ pub struct Ruleset {
 }
 
 /// Upper bound on the candidates gathered per state in
-/// [`Ruleset::successors_into`]: one device bucket per device plus the
+/// `Ruleset::for_each_candidate`: one device bucket per device plus the
 /// host bucket, each bounded well under `19 × Topology::MAX_DEVICES`.
 const CANDIDATE_CAP: usize = 256;
-
-/// An explicit-peer rule firing: `(state, requester, peer, config, out)`.
-type PeerFireFn =
-    fn(&SystemState, DeviceId, DeviceId, &ProtocolConfig, &mut SystemState) -> bool;
 
 impl Ruleset {
     /// Build the paper's two-device rule set for `config`.
@@ -937,6 +940,10 @@ impl Ruleset {
     /// channels, the device spill), a caller that reuses one scratch
     /// across a whole exploration stops allocating per successor —
     /// duplicates that fail fingerprint dedup cost no allocation at all.
+    ///
+    /// A [`Shape::peer_scan`] rule fires as the first peer, in ascending
+    /// index order, for which it fires: the first of its
+    /// [`Self::fire_variants`].
     #[must_use]
     pub fn try_fire_into(&self, id: RuleId, state: &SystemState, out: &mut SystemState) -> bool {
         debug_assert_eq!(
@@ -944,7 +951,12 @@ impl Ruleset {
             self.device_count(),
             "state/topology device-count mismatch"
         );
-        (id.shape.fire_fn())(state, id.dev, &self.config, out)
+        match id.shape.fire() {
+            Fire::Own(fire) => fire(state, id.dev, &self.config, out),
+            Fire::Peer(fire) => {
+                self.topology.peers(id.dev).any(|o| fire(state, id.dev, o, &self.config, out))
+            }
+        }
     }
 
     /// Attempt to fire one rule: returns the successor state if every
@@ -962,36 +974,18 @@ impl Ruleset {
         self.try_fire(id, state).is_some()
     }
 
-    /// The explicit-peer firing function of a [`Shape::peer_scan`] shape:
-    /// `(state, requester, peer, config, out)`.
-    fn peer_fire_fn(shape: Shape) -> Option<PeerFireFn> {
-        match shape {
-            Shape::HostModifiedRdShared => Some(host::modified_rd_shared_from),
-            Shape::HostModifiedRdOwn => Some(host::modified_rd_own_from),
-            Shape::HostSadRspSFwdM => Some(host::sad_rsp_s_fwd_m_from),
-            Shape::HostSadData => Some(host::sad_data_from),
-            Shape::HostSdData => Some(host::sd_data_from),
-            Shape::HostSaRspSFwdM => Some(host::sa_rsp_s_fwd_m_from),
-            Shape::HostMadRspIFwdM => Some(host::mad_rsp_i_fwd_m_from),
-            Shape::HostMadData => Some(host::mad_data_from),
-            Shape::HostMdData => Some(host::md_data_from),
-            Shape::HostMaSnpRsp => Some(host::ma_snp_rsp_from),
-            _ => None,
-        }
-    }
-
     /// Fire every **variant** of rule `id` in `state` into `scratch`,
     /// handing each successor to `f` by reference, and return how many
     /// fired.
     ///
-    /// For a [`Shape::peer_scan`] shape this yields one successor per
-    /// matching peer (ascending peer index) — the *equivariant* form of
-    /// the host's collection rules, under which the successor relation
-    /// commutes with device permutation (`succs(σ(s)) = σ(succs(s))` for
-    /// every permutation σ). For every other shape it is exactly
-    /// [`Self::try_fire_into`] (zero or one successors). The deterministic
-    /// single-successor semantics of [`Self::try_fire`] — consume from the
-    /// lowest-indexed matching peer — is always the first variant yielded.
+    /// A [`Shape::peer_scan`] shape runs its firing function for each
+    /// peer of the requester in ascending order and yields one successor
+    /// per peer that fires — the *equivariant* form of the host's
+    /// collection rules, under which the successor relation commutes with
+    /// device permutation (`succs(σ(s)) = σ(succs(s))` for every
+    /// permutation σ). For every other shape it is exactly
+    /// [`Self::try_fire_into`] (zero or one successors). The first variant
+    /// is always [`Self::try_fire_into`]'s successor.
     pub fn fire_variants(
         &self,
         id: RuleId,
@@ -999,94 +993,78 @@ impl Ruleset {
         scratch: &mut SystemState,
         mut f: impl FnMut(&SystemState),
     ) -> usize {
-        let mut fired = 0;
-        match Self::peer_fire_fn(id.shape) {
-            Some(fire) => {
+        match id.shape.fire() {
+            Fire::Own(fire) => {
+                let fired = fire(state, id.dev, &self.config, scratch);
+                if fired {
+                    f(scratch);
+                }
+                usize::from(fired)
+            }
+            Fire::Peer(fire) => {
+                let mut fired = 0;
                 for o in self.topology.peers(id.dev) {
                     if fire(state, id.dev, o, &self.config, scratch) {
                         fired += 1;
                         f(scratch);
                     }
                 }
-            }
-            None => {
-                if self.try_fire_into(id, state, scratch) {
-                    fired += 1;
-                    f(scratch);
-                }
+                fired
             }
         }
-        fired
     }
 
-    /// [`Self::for_each_enabled`] over the **equivariant** successor
-    /// relation: peer-scan shapes contribute one successor per matching
-    /// peer (via [`Self::fire_variants`]) instead of only their
-    /// lowest-indexed-peer determinisation. Candidate gathering, guard
-    /// pre-checks and firing order are otherwise identical, so for states
-    /// where every collection rule has at most one matching peer — every
-    /// two-device state, and the vast majority of wider ones — the
-    /// emitted successor sequence is exactly that of
-    /// [`Self::for_each_enabled`].
+    /// [`Self::for_each_enabled_mut`] over the **equivariant** successor
+    /// relation: each candidate rule yields every one of its
+    /// [`Self::fire_variants`], where the unreduced search takes only the
+    /// first. Candidates, guard pre-checks and order are the same, so
+    /// where every collection rule fires for at most one peer (every
+    /// two-device state, and most wider ones) the two emit the same
+    /// successors.
     ///
     /// This is the relation the symmetry-reduction engine explores: the
-    /// lowest-index scan is a *determinisation* whose choice does not
-    /// commute with device permutation, so canonical-representative
-    /// search must consider every peer's variant to cover each orbit.
+    /// first-firing-peer choice does not commute with device permutation,
+    /// so canonical-representative search must consider every peer's
+    /// variant to cover each orbit.
     pub fn for_each_enabled_variants(
         &self,
         state: &SystemState,
         scratch: &mut SystemState,
         mut f: impl FnMut(RuleId, &SystemState),
     ) {
-        self.assert_same_topology(state);
-        let mut candidates = [0u16; CANDIDATE_CAP];
-        let n = self.gather_candidates(state, &mut candidates);
-        for &dense in &candidates[..n] {
-            let id = self.ids[dense as usize];
-            if !id.shape.quick_enabled(state, id.dev) {
-                continue;
-            }
+        self.for_each_candidate(state, |id| {
             self.fire_variants(id, state, scratch, |succ| f(id, succ));
-        }
-    }
-
-    /// All enabled transitions from `state`, as `(rule, successor)` pairs.
-    #[must_use]
-    pub fn successors(&self, state: &SystemState) -> Vec<(RuleId, SystemState)> {
-        let mut out = Vec::new();
-        self.successors_into(state, &mut out);
-        out
-    }
-
-    /// [`Self::successors`] into a caller-owned buffer, for zero-alloc
-    /// steady-state successor generation: the buffer is cleared and
-    /// refilled, so a caller that reuses it across a BFS frontier stops
-    /// allocating once the buffer has grown to the widest fan-out.
-    ///
-    /// Each of the 138 rule instances is first screened by
-    /// [`Shape::quick_enabled`], which rejects most without constructing a
-    /// candidate successor; the surviving few run their full guards in
-    /// [`Self::try_fire`]. The enabled set is identical to
-    /// [`Self::successors_naive`] — the differential tests in
-    /// `tests/differential.rs` hold the two paths equal over whole
-    /// exploration runs.
-    pub fn successors_into(&self, state: &SystemState, out: &mut Vec<(RuleId, SystemState)>) {
-        out.clear();
-        let mut scratch = SystemState::initial_n(self.device_count(), Vec::new());
-        self.for_each_enabled(state, &mut scratch, |id, succ| {
-            out.push((id, succ.clone()));
         });
     }
 
-    /// Gather the candidate rule instances from the buckets `state` keys
-    /// into (one per device cache state, one for the host state), sorted
-    /// into canonical dense-index order so firing order is identical to
-    /// the naive full scan. The candidate list is bounded by
-    /// `CANDIDATE_CAP` (asserted at construction for the topology), so it
-    /// lives on the caller's stack; the filled prefix length is returned.
-    fn gather_candidates(&self, state: &SystemState, buf: &mut [u16; CANDIDATE_CAP]) -> usize {
+    /// All enabled transitions from `state`, as `(rule, successor)` pairs,
+    /// in canonical rule order.
+    ///
+    /// Each rule instance is first screened by [`Shape::quick_enabled`],
+    /// which rejects most without constructing a candidate successor; the
+    /// surviving few run their full guards in [`Self::try_fire_into`]. The
+    /// enabled set is identical to [`Self::successors_naive`] — the
+    /// differential tests in `tests/differential.rs` hold the two paths
+    /// equal over whole exploration runs.
+    #[must_use]
+    pub fn successors(&self, state: &SystemState) -> Vec<(RuleId, SystemState)> {
+        let mut out = Vec::new();
+        let mut scratch = SystemState::initial_n(self.device_count(), Vec::new());
+        self.for_each_enabled_mut(state, &mut scratch, |id, succ| out.push((id, succ.clone())));
+        out
+    }
+
+    /// Hand `f` every rule instance that may be enabled in `state`, in
+    /// canonical dense-index order (the order of the naive full scan).
+    /// The candidates come from the buckets `state` keys into (one per
+    /// device cache state, one for the host state), and
+    /// [`Shape::quick_enabled`] screens out most of them. The candidate
+    /// list is bounded by `CANDIDATE_CAP` (asserted at construction for
+    /// the topology), so it lives on the stack.
+    fn for_each_candidate(&self, state: &SystemState, mut f: impl FnMut(RuleId)) {
+        self.assert_same_topology(state);
         let ndev = self.device_count();
+        let mut buf = [0u16; CANDIDATE_CAP];
         let mut n = 0usize;
         let mut push_all = |bucket: &[u16]| {
             buf[n..n + bucket.len()].copy_from_slice(bucket);
@@ -1098,35 +1076,29 @@ impl Ruleset {
         }
         push_all(&self.host_buckets[state.host.state as usize]);
         buf[..n].sort_unstable();
-        n
+        for &dense in &buf[..n] {
+            let id = self.ids[dense as usize];
+            if id.shape.quick_enabled(state, id.dev) {
+                f(id);
+            }
+        }
     }
 
     /// The zero-alloc streaming form of successor generation — the model
     /// checker's expansion primitive. Every enabled rule is fired **into
-    /// `scratch`** via [`Self::try_fire_into`] and handed to `f` by
-    /// reference, in the same canonical order as [`Self::successors`];
-    /// the caller typically encodes the borrowed successor into a packed
-    /// byte buffer rather than cloning it. Between calls to `f`,
-    /// `scratch` is overwritten in place (`clone_from`), so once its heap
-    /// blocks have grown to the workload's high-water mark the whole
-    /// generation loop performs no allocation.
-    pub fn for_each_enabled(
-        &self,
-        state: &SystemState,
-        scratch: &mut SystemState,
-        mut f: impl FnMut(RuleId, &SystemState),
-    ) {
-        self.for_each_enabled_mut(state, scratch, |id, succ| f(id, succ));
-    }
-
-    /// [`Self::for_each_enabled`] with a mutable borrow of the successor:
-    /// the callback may *take* the fired state — typically by
-    /// `mem::swap`ping a spare allocated state in — instead of cloning
-    /// it. Safe because every rule's fire function rebuilds its output
-    /// from the source state (`clone_from`) before mutating, so the
-    /// scratch's contents between firings are irrelevant; the swapped-in
-    /// replacement only needs to be *some* allocated state of the same
-    /// topology. This is what lets the sequential checker's
+    /// `scratch`** via [`Self::try_fire_into`] and handed to `f`, in the
+    /// same canonical order as [`Self::successors`]; the caller typically
+    /// encodes the successor into a packed byte buffer rather than
+    /// cloning it. Between calls to `f`, `scratch` is overwritten in place
+    /// (`clone_from`), so once its heap blocks have grown to the
+    /// workload's high-water mark the whole generation loop performs no
+    /// allocation.
+    ///
+    /// The callback may also *take* the fired state — typically by
+    /// `mem::swap`ping a spare allocated state in — since every rule
+    /// rebuilds its output from the source state (`clone_from`) before
+    /// mutating; the replacement only needs to be *some* allocated state
+    /// of the same topology. This is what lets the sequential checker's
     /// decoded-frontier ring capture successors at zero cost.
     pub fn for_each_enabled_mut(
         &self,
@@ -1134,23 +1106,16 @@ impl Ruleset {
         scratch: &mut SystemState,
         mut f: impl FnMut(RuleId, &mut SystemState),
     ) {
-        self.assert_same_topology(state);
-        let mut candidates = [0u16; CANDIDATE_CAP];
-        let n = self.gather_candidates(state, &mut candidates);
-        for &dense in &candidates[..n] {
-            let id = self.ids[dense as usize];
-            if !id.shape.quick_enabled(state, id.dev) {
-                continue;
-            }
+        self.for_each_candidate(state, |id| {
             if self.try_fire_into(id, state, scratch) {
                 f(id, scratch);
             }
-        }
+        });
     }
 
     /// Reference successor generation: fire every rule's full guard with
     /// no pre-screening. Kept as the oracle the optimized path
-    /// ([`Self::successors_into`]) is differentially tested against. One
+    /// ([`Self::successors`]) is differentially tested against. One
     /// scratch state serves the whole scan (constructed once per call,
     /// not once per rule instance), so the naive baseline's cost profile
     /// stays what it always was: full guards plus one clone per enabled
@@ -1244,7 +1209,7 @@ mod tests {
 
     #[test]
     fn candidate_buckets_fit_the_stack_buffer() {
-        // successors_into gathers candidates into a fixed stack array:
+        // for_each_candidate gathers candidates into a fixed stack array:
         // the worst case is the widest device bucket for each device plus
         // the widest host bucket. Construction asserts the bound; exercise
         // it at the maximum supported topology.
@@ -1311,14 +1276,13 @@ mod tests {
     fn successors_match_naive_reference() {
         let rules = Ruleset::new(ProtocolConfig::full());
         let mut frontier = vec![SystemState::initial(programs::store(1), programs::load())];
-        let mut scratch = Vec::new();
         for _ in 0..5 {
             let mut next = Vec::new();
             for st in &frontier {
-                rules.successors_into(st, &mut scratch);
+                let succs = rules.successors(st);
                 let naive = rules.successors_naive(st);
-                assert_eq!(scratch, naive, "optimized/naive divergence in\n{st}");
-                next.extend(scratch.drain(..).map(|(_, s)| s));
+                assert_eq!(succs, naive, "optimized/naive divergence in\n{st}");
+                next.extend(succs.into_iter().map(|(_, s)| s));
             }
             frontier = next;
         }
@@ -1362,8 +1326,8 @@ mod tests {
             ],
             "only the device-issue rules poll the program without consuming a message"
         );
-        // And the peer-scan metadata is defined by the variant dispatch
-        // table itself; pin the expected ten host collection shapes.
+        // And the peer-scan metadata is the shape table's `Peer` column;
+        // pin the expected ten host collection shapes.
         let scanning: Vec<Shape> =
             Shape::ALL.iter().copied().filter(|s| s.peer_scan()).collect();
         assert_eq!(
@@ -1607,80 +1571,6 @@ mod tests {
             frontier = next;
         }
         assert!(checked > 10, "the walk must actually exercise commutation pairs");
-    }
-
-    #[test]
-    fn fire_variants_matches_try_fire_for_single_peer_states() {
-        // With two devices every peer-scan rule has exactly one peer, so
-        // the variant enumeration must reproduce try_fire exactly; for
-        // non-peer-scan shapes they coincide by construction.
-        let rules = Ruleset::new(ProtocolConfig::full());
-        let mut frontier = vec![SystemState::initial(programs::store(1), programs::load())];
-        let mut scratch = SystemState::initial_n(2, vec![]);
-        for _ in 0..6 {
-            let mut next = Vec::new();
-            for st in &frontier {
-                for &id in rules.rule_ids() {
-                    let mut variants = Vec::new();
-                    rules.fire_variants(id, st, &mut scratch, |succ| {
-                        variants.push(succ.clone());
-                    });
-                    match rules.try_fire(id, st) {
-                        Some(succ) => {
-                            assert_eq!(variants, vec![succ.clone()], "{id} variant mismatch");
-                            next.push(succ);
-                        }
-                        None => assert!(variants.is_empty(), "{id} fired a spurious variant"),
-                    }
-                }
-            }
-            next.truncate(48);
-            frontier = next;
-        }
-    }
-
-    #[test]
-    fn variant_relation_contains_the_determinised_one() {
-        // On three devices the equivariant relation is a superset of the
-        // lowest-peer determinisation: every for_each_enabled successor
-        // appears among for_each_enabled_variants (same rule), and the
-        // first variant of each peer-scan rule IS the determinised
-        // successor.
-        let rules = Ruleset::with_devices(ProtocolConfig::strict(), 3);
-        let mut frontier = vec![SystemState::initial_n(
-            3,
-            vec![programs::store(1), programs::load(), programs::load()],
-        )];
-        let mut scratch = SystemState::initial_n(3, vec![]);
-        for _ in 0..7 {
-            let mut next = Vec::new();
-            for st in &frontier {
-                let mut det: Vec<(RuleId, SystemState)> = Vec::new();
-                rules.for_each_enabled(st, &mut scratch, |id, succ| {
-                    det.push((id, succ.clone()));
-                });
-                let mut all: Vec<(RuleId, SystemState)> = Vec::new();
-                rules.for_each_enabled_variants(st, &mut scratch, |id, succ| {
-                    all.push((id, succ.clone()));
-                });
-                assert!(all.len() >= det.len());
-                for pair in &det {
-                    assert!(
-                        all.contains(pair),
-                        "determinised successor of {} missing from variants in\n{st}",
-                        pair.0
-                    );
-                }
-                // Per rule, the determinised successor is the first variant.
-                for (id, succ) in &det {
-                    let first = all.iter().find(|(i, _)| i == id).expect("rule present");
-                    assert_eq!(&first.1, succ, "{id}: lowest peer must come first");
-                }
-                next.extend(all.into_iter().map(|(_, s)| s));
-            }
-            next.truncate(48);
-            frontier = next;
-        }
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! violation *is* reachable.
 
 use cxl_core::{Invariant, ProtocolConfig, Ruleset, SystemState};
-use cxl_mc::{
-    CheckOptions, InvariantProperty, ModelChecker, PropertyOutcome, Report, SwmrProperty, Trace,
-};
+use cxl_mc::{CheckOptions, InvariantProperty, ModelChecker, Report, SwmrProperty, Trace};
 use std::fmt;
 use std::sync::Arc;
 
@@ -271,13 +269,6 @@ impl Litmus {
         };
 
         LitmusResult { name: self.name.clone(), passed, report: exploration.report, notes, witness }
-    }
-
-    /// Check whether a property outcome matches what SWMR says about a
-    /// state — convenience for external assertions.
-    #[must_use]
-    pub fn swmr_outcome(s: &SystemState) -> PropertyOutcome {
-        cxl_mc::Property::check(&SwmrProperty, s)
     }
 }
 

@@ -10,10 +10,9 @@
 //!
 //! - [`replay_trace`] validates a trace whose steps carry expected
 //!   states, accepting any *peer variant* of each step's rule (the
-//!   equivariant relation of
-//!   [`Ruleset::fire_variants`] the reduced
-//!   checker explores — a collection rule may have consumed a
-//!   non-lowest-indexed peer's response);
+//!   equivariant relation of [`Ruleset::fire_variants`] the reduced
+//!   checker explores — a collection rule may have fired for a peer
+//!   other than its first firing one);
 //! - [`decanonicalize_trace`] rewrites a trace whose states are class
 //!   representatives back into **original device and value
 //!   coordinates**: starting from the stored (uncanonicalized) initial
@@ -82,9 +81,9 @@ pub fn replay(
 /// Validate `trace` step by step against the rule engine: each step's
 /// rule must have a firing **variant** in the current state whose
 /// successor equals the step's recorded state. Plain (unreduced) traces
-/// always validate this way — the determinised successor is the first
-/// variant — and so do traces over the equivariant relation the
-/// symmetry-reducing checker explores.
+/// always validate this way — the unreduced search's lowest-peer
+/// successor is the first firing variant — and so do traces over the
+/// equivariant relation the symmetry-reducing checker explores.
 ///
 /// # Errors
 /// Returns [`ReplayError`] at the first step with no matching variant.

@@ -28,8 +28,8 @@
 //!   equality is state equality). Only survivors are copied into the
 //!   arena.
 //! - **Scratch-state rule firing** — successors are generated by
-//!   [`cxl_core::Ruleset::for_each_enabled`], which fires each enabled
-//!   rule **into a reused scratch state** (`clone_from`, not
+//!   [`cxl_core::Ruleset::for_each_enabled_mut`], which fires each
+//!   enabled rule **into a reused scratch state** (`clone_from`, not
 //!   clone-new). Together with the packed dedup path this makes
 //!   generating a duplicate successor fully allocation-free.
 //! - **No terminal rescan** — per-state successor counts are recorded
@@ -671,9 +671,9 @@ impl ModelChecker {
         let codec = StateCodec::new(self.rules.topology());
         let reducer = self.opts.reduction.as_deref();
         // Symmetry-reducing runs must explore the equivariant successor
-        // relation (one successor per matching peer of the host's
-        // collection rules) — orbit-representative search over the
-        // lowest-peer determinisation would not cover every orbit.
+        // relation (the host's collection rules fire once per peer that
+        // can fire them) — orbit-representative search over the
+        // first-firing-peer determinisation would not cover every orbit.
         let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
         // Telemetry: the flight ring runs unconditionally (a handful of
         // pushes per level); the phase clock and level records exist only

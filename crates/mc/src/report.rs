@@ -107,7 +107,7 @@ pub struct Quarantine {
     pub state: usize,
     /// The state's packed encoding, as stored in the arena.
     pub packed: Vec<u8>,
-    /// Decoded rendering of the state ("<undecodable>" if decoding is
+    /// Decoded rendering of the state (`"<undecodable>"` if decoding is
     /// itself the poison).
     pub dump: String,
     /// The panic payload, when it carried a message.

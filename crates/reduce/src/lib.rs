@@ -36,9 +36,10 @@
 //!   sound over a permutation-commuting transition relation, so a
 //!   symmetry-reducing checker expands frontiers with
 //!   [`cxl_core::Ruleset::for_each_enabled_variants`] (the host's
-//!   collection rules consume from *each* matching peer, not just the
-//!   lowest-indexed one). The [`Reducer::wants_peer_variants`] hook tells
-//!   the checker which relation to drive.
+//!   collection rules fire once for *each* peer that can fire them, where
+//!   the unreduced search takes only the first; the lowest-peer successor
+//!   is the first firing variant). The [`Reducer::wants_peer_variants`]
+//!   hook tells the checker which relation to drive.
 //!
 //! ## Soundness contract
 //!
@@ -170,8 +171,8 @@ pub trait Reducer: Send + Sync + fmt::Debug {
     /// Must the checker expand frontiers over the equivariant successor
     /// relation ([`Ruleset::for_each_enabled_variants`])? True whenever
     /// device-symmetry canonicalization is active — orbit-representative
-    /// search over the lowest-peer determinisation would not cover every
-    /// orbit. (Value renumbering alone does not need it: the lowest-peer
+    /// search over the first-firing-peer relation would not cover every
+    /// orbit. (Value renumbering alone does not need it: the first-peer
     /// choice is value-blind.)
     fn wants_peer_variants(&self) -> bool;
 

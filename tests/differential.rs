@@ -1,10 +1,11 @@
 //! Differential tests pinning the optimized exploration pipeline to the
 //! retained naive reference implementation.
 //!
-//! The PR that introduced fingerprinted dedup, guard-prefiltered
-//! `successors_into`, terminal-count bookkeeping, and parallel
-//! expansion on worker threads claims **bit-identical semantics** with the
-//! original checker. These tests hold that claim over the full
+//! The optimized pipeline (fingerprinted dedup, guard-prefiltered
+//! successor generation in `Ruleset::successors` and
+//! `for_each_enabled_mut`, terminal-count bookkeeping, and parallel
+//! expansion on worker threads) claims **bit-identical semantics** with
+//! the naive reference checker. These tests hold that claim over the full
 //! `default_program_grid` (the same grid the obligation universe is built
 //! from) under strict, full, and relaxed configurations, for all three
 //! pipelines: naive, optimized-sequential, and optimized-parallel.
@@ -116,12 +117,11 @@ fn successor_generation_agrees_on_synthesised_states() {
         ProtocolConfig::relaxed(Relaxation::NaiveTransientTracking),
     ] {
         let rules = Ruleset::new(cfg);
-        let mut buf = Vec::new();
         for _ in 0..500 {
             let s = random_state(&mut rng);
-            rules.successors_into(&s, &mut buf);
+            let succs = rules.successors(&s);
             let naive = rules.successors_naive(&s);
-            assert_eq!(buf, naive, "divergence under {cfg:?} on synthesised state\n{s}");
+            assert_eq!(succs, naive, "divergence under {cfg:?} on synthesised state\n{s}");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! N-device topology tests.
 //!
-//! Three layers of coverage for the DeviceId→Topology generalisation:
+//! Four layers of coverage for the DeviceId→Topology generalisation:
 //!
 //! 1. **Pre-refactor pinning** — the generic N=2 pipeline must reproduce
 //!    the *recorded* exploration results of the closed two-device model
@@ -16,11 +16,18 @@
 //!    violation reproduces with a third device present, both idle and
 //!    loading, and the witness still runs through the buggy
 //!    `IsadSnpInv` rule.
+//! 4. **Collection where several peers answer** — the whole N=3 space in
+//!    which one snoop round collects two responses, pinned unreduced and
+//!    under device symmetry, with every collection rule's firing count.
 
 use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{Invariant, ProtocolConfig, Relaxation, Ruleset, SystemState};
-use cxl_repro::mc::{InvariantProperty, ModelChecker, SwmrProperty};
+use cxl_repro::mc::{
+    CanonMode, CheckOptions, InvariantProperty, ModelChecker, PorMode, Reducer, Reduction,
+    ReductionConfig, Report, SwmrProperty,
+};
 use cxl_repro::sketch::default_program_grid;
+use std::sync::Arc;
 
 // -------------------------------------------------------------------
 // 1. Pre-refactor pinning.
@@ -341,4 +348,114 @@ fn strict_three_device_model_has_no_table3_violation() {
         SystemState::initial_n(3, vec![programs::store(42), programs::load(), programs::load()]);
     let report = mc.check(&init, &[&SwmrProperty]);
     assert!(report.clean(), "{report}");
+}
+
+// -------------------------------------------------------------------
+// 4. Collection where several peers answer.
+// -------------------------------------------------------------------
+
+/// `[L,S1]×[L]×[L]`: device 1's upgrade snoops both sharing peers at
+/// once, so `HostMaSnpRsp1` collects about two responses per snoop
+/// round, and the peers' reads of device 1's owned line run the
+/// `SAD`/`SD`/`SA` collection rules.
+fn two_responder_grid() -> SystemState {
+    SystemState::initial_n(
+        3,
+        vec![
+            vec![Instruction::Load, Instruction::Store(1)].into(),
+            programs::load(),
+            programs::load(),
+        ],
+    )
+}
+
+/// Firings of every collection-rule instance (a shape that fires once
+/// per peer of its requester), sorted by name; an instance that never
+/// fired is absent.
+fn collection_firings(report: &Report) -> Vec<(String, u64)> {
+    let mut rows: Vec<(String, u64)> = report
+        .rule_firings
+        .iter()
+        .filter(|(id, _)| id.shape.peer_scan())
+        .map(|(id, &n)| (id.name(), n))
+        .collect();
+    rows.sort();
+    rows
+}
+
+fn named(rows: &[(&str, u64)]) -> Vec<(String, u64)> {
+    rows.iter().map(|&(name, n)| (name.to_owned(), n)).collect()
+}
+
+#[test]
+fn collection_relation_is_pinned_where_several_peers_answer() {
+    // The unreduced search fires each collection rule as its lowest
+    // firing peer; device symmetry fires it once per peer. Both counts
+    // cover the whole space, so a change to either relation on any
+    // reachable state moves them.
+    let cfg = ProtocolConfig::strict();
+    let init = two_responder_grid();
+
+    let plain = ModelChecker::new(Ruleset::with_devices(cfg, 3)).check(&init, &[&SwmrProperty]);
+    assert!(plain.clean(), "{plain}");
+    assert_eq!(
+        (plain.states, plain.transitions, plain.depth, plain.terminal_states),
+        (4_421, 11_823, 22, 43),
+        "unreduced space drifted"
+    );
+    let rounds = plain.rule_firings_by_name().get("HostSharedRdOwnOther1").copied();
+    assert_eq!(rounds, Some(312), "snoop rounds drifted");
+    assert_eq!(
+        collection_firings(&plain),
+        named(&[
+            ("HostMaSnpRsp1", 606),
+            ("HostModifiedRdShared2", 140),
+            ("HostModifiedRdShared3", 140),
+            ("HostSaRspSFwdM2", 70),
+            ("HostSaRspSFwdM3", 70),
+            ("HostSadData2", 35),
+            ("HostSadData3", 35),
+            ("HostSadRspSFwdM2", 35),
+            ("HostSadRspSFwdM3", 35),
+            ("HostSdData2", 35),
+            ("HostSdData3", 35),
+        ]),
+        "unreduced collection firings drifted"
+    );
+
+    let rules = Ruleset::with_devices(cfg, 3);
+    let symmetry_only = ReductionConfig {
+        symmetry: true,
+        data_symmetry: false,
+        por: PorMode::Off,
+        canon: CanonMode::Auto,
+    };
+    let red = Arc::new(Reduction::new(&rules, &init, symmetry_only));
+    let opts = CheckOptions { reduction: Some(red as Arc<dyn Reducer>), ..CheckOptions::default() };
+    let sym = ModelChecker::with_options(rules, opts).check(&init, &[&SwmrProperty]);
+    assert!(sym.clean(), "{sym}");
+    assert_eq!(
+        (sym.states, sym.transitions, sym.depth, sym.terminal_states),
+        (2_225, 5_973, 22, 23),
+        "symmetry-reduced space drifted"
+    );
+    let summary = sym.reduction.as_ref().expect("reduction summary present");
+    assert_eq!(summary.orbit_states, 4_421, "Σ orbit states must equal the unreduced count");
+    assert_eq!(
+        collection_firings(&sym),
+        named(&[
+            ("HostMaSnpRsp1", 340),
+            ("HostModifiedRdShared2", 104),
+            ("HostModifiedRdShared3", 36),
+            ("HostSaRspSFwdM2", 52),
+            ("HostSaRspSFwdM3", 18),
+            ("HostSadData2", 32),
+            ("HostSadData3", 3),
+            ("HostSadRspSFwdM2", 32),
+            ("HostSadRspSFwdM3", 3),
+            ("HostSdData2", 32),
+            ("HostSdData3", 3),
+        ]),
+        "symmetry-reduced collection firings drifted"
+    );
 }
